@@ -41,8 +41,14 @@ __all__ = ["main", "BenchConfig", "SummaryRow"]
 
 
 def _default_seed() -> int:
-    # the only knob with an environment override
-    return int(os.environ.get("MITK_SEED", "0"))
+    # the only knob with an environment override; read when a command runs
+    # and nothing else sets the seed, so a bad value is reported like any
+    # other bad input
+    raw = os.environ.get("MITK_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"MITK_SEED must be an integer, got {raw!r}") from None
 
 
 _DEFAULTS = {
@@ -112,8 +118,7 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve_config(args, flag_keys: dict) -> dict:
     """defaults < config file < explicit flags < --set pairs, last wins."""
-    config = dict(_DEFAULTS)
-    config["seed"] = _default_seed()
+    config = dict(_DEFAULTS, seed=None)
     if getattr(args, "config", None):
         config.update(_load_config_file(args.config))
     for key, attr in flag_keys.items():
@@ -125,6 +130,8 @@ def _resolve_config(args, flag_keys: dict) -> dict:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         config[key.strip()] = _parse_value(key.strip(), value.strip())
+    if config["seed"] is None:
+        config["seed"] = _default_seed()
     return config
 
 
@@ -171,8 +178,8 @@ def _echo_config(config: dict, out_dir: Path) -> None:
 def _cmd_verify(args) -> int:
     if args.trials == 0:
         print("warning: --trials 0 makes every probe vacuous", file=sys.stderr)
-    reports = run_probe_suite(trials=args.trials, seed=args.seed,
-                              corrupt=args.corrupt_oracle)
+    seed = _default_seed() if args.seed is None else args.seed
+    reports = run_probe_suite(trials=args.trials, seed=seed, corrupt=args.corrupt_oracle)
     failures = 0
     for report in reports:
         status = "pass" if report.passed else "FAIL"
@@ -360,6 +367,8 @@ def _cmd_bench(args) -> int:
                 results.setdefault(tag, []).append(future.result())
             except TrainingDiverged as err:
                 failures.append((tag, seed, str(err)))
+            except Exception as err:  # one broken run must not lose the others
+                failures.append((tag, seed, f"{type(err).__name__}: {err}"))
 
     rows = [
         _summarize(tag, task, sorted(results[tag], key=lambda t: t.seed))
@@ -416,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser("verify", help="run the theorem probe suite")
     verify.add_argument("--trials", type=int, default=1000)
-    verify.add_argument("--seed", type=int, default=_default_seed())
+    verify.add_argument("--seed", type=int, default=None,
+                        help="probe seed (default: env MITK_SEED, else 0)")
     verify.add_argument("--corrupt-oracle", action="store_true",
                         help="negative control: perturb one oracle so the suite must fail")
     verify.set_defaults(func=_cmd_verify)

@@ -5,12 +5,22 @@ activations, linear outputs, plus an inner-product head for the separable
 two-tower form. Gradients are hand-derived for this family and checked
 against central finite differences in the test suite, which keeps the
 implementation honest without dragging in a general autodiff system.
+
+Buffers: the functions here allocate their results unless given `out=`
+arrays to write into; a forward pass can also write into the cache of an
+earlier one. A training run owns its buffers: `flat_buffer` packs the
+components' arrays into one flat float64 vector and hands back a view of
+it per array, containers are built once over those views, backward
+writes each gradient into its view of a flat gradient buffer, and
+`adam_update` updates parameters and moments in place. Nothing is kept at
+module level. `adam_step` stays as the functional form: it copies its
+inputs and runs the same in-place kernel on the copies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +41,14 @@ __all__ = [
     "backward_from_cache",
     "param_arrays",
     "with_param_arrays",
+    "flat_buffer",
+    "buffer_views",
     "init_baseline",
     "log_baseline",
     "baseline_backward",
     "init_adam",
     "adam_step",
+    "adam_update",
     "forward_rows",
     "reset_forward_rows",
 ]
@@ -87,34 +100,47 @@ def init_mlp(widths, rng) -> Mlp:
     return Mlp(weights, biases)
 
 
-def mlp_forward(mlp: Mlp, x: np.ndarray):
-    """Returns (output, cache); cache holds the per-layer inputs and preactivations."""
+def mlp_forward(mlp: Mlp, x: np.ndarray, out=None):
+    """Returns (output, cache); cache holds the per-layer inputs and preactivations.
+
+    With `out`, a cache returned by an earlier call on as many rows, every
+    preactivation and hidden activation is written into that cache's arrays
+    and the cache returned refers to them.
+    """
     global _forward_rows
     _forward_rows += x.shape[0]
-    inputs = []
+    inputs = [x]
     preacts = []
-    h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        inputs.append(h)
-        z = h @ w + b
+        z = np.matmul(inputs[i], w, out=None if out is None else out[1][i])
+        z += b
         preacts.append(z)
-        h = z if i == last else np.maximum(z, 0.0)
-    return h, (inputs, preacts)
+        if i < last:
+            inputs.append(np.maximum(z, 0.0, out=None if out is None else out[0][i + 1]))
+    return preacts[-1], (inputs, preacts)
 
 
-def mlp_backward(mlp: Mlp, cache, dout: np.ndarray):
-    """Gradients of sum(dout * output) with respect to every weight and bias."""
+def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, out=None):
+    """Gradients of sum(dout * output) with respect to every weight and bias.
+
+    With `out`, arrays in param_arrays order, each gradient is written into
+    its array instead of a new one, and the signal passed down between
+    layers is formed in the cache's hidden-layer arrays, which are used up:
+    after such a call only the cache's output may be read again.
+    """
     inputs, preacts = cache
     grads_w = [None] * len(mlp.weights)
     grads_b = [None] * len(mlp.biases)
     dz = dout
     for i in range(len(mlp.weights) - 1, -1, -1):
-        grads_w[i] = inputs[i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
+        out_w, out_b = (None, None) if out is None else (out[2 * i], out[2 * i + 1])
+        grads_w[i] = np.matmul(inputs[i].T, dz, out=out_w)
+        grads_b[i] = np.sum(dz, axis=0, out=out_b)
         if i > 0:
-            dh = dz @ mlp.weights[i].T
-            dz = dh * (preacts[i - 1] > 0.0)
+            dh = np.matmul(dz, mlp.weights[i].T, out=None if out is None else inputs[i])
+            dz = np.multiply(dh, preacts[i - 1] > 0.0,
+                             out=None if out is None else preacts[i - 1])
     return grads_w, grads_b
 
 
@@ -175,32 +201,48 @@ def score_matrix(params: CriticParams, batch) -> np.ndarray:
     return scores
 
 
-def score_matrix_with_cache(params: CriticParams, batch):
-    """score_matrix plus the forward cache needed to backpropagate through it."""
+def score_matrix_with_cache(params: CriticParams, batch, out=None, cache=None):
+    """score_matrix plus the forward cache needed to backpropagate through it.
+
+    With `out`, an n x n array, the table is written there; with `cache`,
+    one returned by an earlier call at the same batch size, the forward
+    pass writes into its arrays (see mlp_forward).
+    """
     xs, ys = batch.xs, batch.ys
     n = xs.shape[0]
     if params.form == "separable":
         x_tower, y_tower = params.nets
-        hx, cache_x = mlp_forward(x_tower, xs)
-        hy, cache_y = mlp_forward(y_tower, ys)
-        return hx @ hy.T, (hx, cache_x, hy, cache_y)
+        cache_x, cache_y = (None, None) if cache is None else (cache[1], cache[3])
+        hx, cache_x = mlp_forward(x_tower, xs, out=cache_x)
+        hy, cache_y = mlp_forward(y_tower, ys, out=cache_y)
+        return np.matmul(hx, hy.T, out=out), (hx, cache_x, hy, cache_y)
     (net,) = params.nets
     paired = np.concatenate([np.repeat(xs, n, axis=0), np.tile(ys, (n, 1))], axis=1)
-    out, cache = mlp_forward(net, paired)
-    return out.reshape(n, n), cache
+    scores, cache = mlp_forward(net, paired, out=cache)
+    scores = scores.reshape(n, n)
+    if out is not None:
+        np.copyto(out, scores)
+        scores = out
+    return scores, cache
 
 
-def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray):
-    """Gradients of sum(upstream * scores) given a forward cache, in param_arrays order."""
+def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=None):
+    """Gradients of sum(upstream * scores) given a forward cache, in param_arrays order.
+
+    With `out`, arrays in param_arrays order, the gradients are written
+    there and the cache is used up (see mlp_backward).
+    """
     if params.form == "separable":
         x_tower, y_tower = params.nets
         hx, cache_x, hy, cache_y = cache
-        dw_x, db_x = mlp_backward(x_tower, cache_x, upstream @ hy)
-        dw_y, db_y = mlp_backward(y_tower, cache_y, upstream.T @ hx)
+        k = 2 * len(x_tower.weights)
+        out_x, out_y = (None, None) if out is None else (out[:k], out[k:])
+        dw_x, db_x = mlp_backward(x_tower, cache_x, upstream @ hy, out=out_x)
+        dw_y, db_y = mlp_backward(y_tower, cache_y, upstream.T @ hx, out=out_y)
         return _interleave(dw_x, db_x) + _interleave(dw_y, db_y)
     (net,) = params.nets
     n = upstream.shape[0]
-    dw, db = mlp_backward(net, cache, upstream.reshape(n * n, 1))
+    dw, db = mlp_backward(net, cache, upstream.reshape(n * n, 1), out=out)
     return _interleave(dw, db)
 
 
@@ -261,6 +303,24 @@ def with_param_arrays(params, arrays: list):
     return rebuilt
 
 
+def flat_buffer(arrays: list):
+    """(flat, views): the arrays copied back to back into one vector, and a
+    view of that vector shaped like each array."""
+    flat = np.concatenate([np.ravel(a) for a in arrays])
+    return flat, buffer_views(flat, arrays)
+
+
+def buffer_views(flat: np.ndarray, arrays: list) -> list:
+    """Views of consecutive slices of `flat`, shaped like `arrays` in order."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    if start != flat.size:
+        raise ValueError(f"layout holds {start} values, buffer {flat.size}")
+    return views
+
+
 # ---------------------------------------------------------------------------
 # Baseline network: emits log a(y), so a(y) > 0 is structural
 # ---------------------------------------------------------------------------
@@ -294,7 +354,11 @@ def baseline_backward(params: BaselineParams, ys: np.ndarray, dlog_a: np.ndarray
 
 @dataclass
 class AdamState:
-    """Bias-corrected first/second moment accumulators plus hyperparameters."""
+    """Bias-corrected first/second moment accumulators plus hyperparameters.
+
+    `scratch` holds two work arrays per parameter for `adam_update`; they
+    are allocated on its first call and reused after that.
+    """
 
     m: list
     v: list
@@ -303,6 +367,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: list = field(default_factory=list, repr=False, compare=False)
 
 
 def init_adam(params: list, lr: float = 5e-4, beta1: float = 0.9,
@@ -318,24 +383,45 @@ def init_adam(params: list, lr: float = 5e-4, beta1: float = 0.9,
     )
 
 
-def adam_step(state: AdamState, params: list, grads: list):
-    """One descent update; returns (new state, new params), inputs untouched."""
+def adam_update(state: AdamState, params: list, grads: list) -> None:
+    """One descent update, in place: params, state.m, state.v and state.step."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("params/grads must match the optimizer state layout")
-    t = state.step + 1
-    new_m, new_v, new_p = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match param {p.shape}")
-        m1 = state.beta1 * m + (1.0 - state.beta1) * g
-        v1 = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        m_hat = m1 / (1.0 - state.beta1**t)
-        v_hat = v1 / (1.0 - state.beta2**t)
-        new_p.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m1)
-        new_v.append(v1)
+    if len(state.scratch) != len(params):
+        state.scratch = [np.empty((2, *p.shape)) for p in params]
+    t = state.step + 1
+    b1, b2 = state.beta1, state.beta2
+    for p, g, m, v, (num, den) in zip(params, grads, state.m, state.v, state.scratch):
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=num)
+        np.add(m, num, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, g, out=den)
+        np.multiply(den, 1.0 - b2, out=den)
+        np.add(v, den, out=v)
+        # p -= lr m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - b1**t, out=num)
+        np.multiply(num, state.lr, out=num)
+        np.divide(v, 1.0 - b2**t, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, state.eps, out=den)
+        np.divide(num, den, out=num)
+        np.subtract(p, num, out=p)
+    state.step = t
+
+
+def adam_step(state: AdamState, params: list, grads: list):
+    """One descent update; returns (new state, new params), inputs untouched."""
     new_state = AdamState(
-        m=new_m, v=new_v, step=t,
+        m=[np.array(m, dtype=np.float64) for m in state.m],
+        v=[np.array(v, dtype=np.float64) for v in state.v],
+        step=state.step,
         lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
     )
-    return new_state, new_p
+    new_params = [np.array(p, dtype=np.float64) for p in params]
+    adam_update(new_state, new_params, grads)
+    return new_state, new_params

@@ -9,6 +9,14 @@ to its trainable components, so a single Adam loop trains any of them.
 Log-partition terms always go through max-shifted log-sum-exp; at the
 default scales the raw scores can reach +-30, where naive exponentials
 would already be meaningless.
+
+Training runs through one `Objective` per estimator kind (`make_objective`),
+which owns the buffers of one run: the flat parameter and gradient
+vectors, and for the critic bounds one n x n score table and one n x n
+workspace that each bound's value and gradient share. Nothing is kept at
+module level, so concurrent runs share no state. The `*_from_scores` and
+`est_*` functions are the plain, allocating forms of the same values for
+use outside a run; the objectives' values equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ __all__ = [
     "est_nwj",
     "est_infonce",
     "est_uba",
+    "Objective",
+    "make_objective",
     "dv_from_scores",
     "tuba_from_scores",
     "nwj_from_scores",
@@ -159,7 +169,7 @@ def est_ba_upper(batch: SampleBatch, cond_ld, marginal_ld) -> float:
 def est_ba_lower(batch: SampleBatch, decoder: "DecoderParams", entropy_hx: float) -> float:
     """Mean decoder log-likelihood of x given y, plus the known marginal entropy."""
     mean, _ = nets.mlp_forward(decoder.net, batch.ys)
-    ll = _gaussian_ll(batch.xs, mean, decoder.log_var)
+    ll = _gaussian_ll(batch.xs - mean, np.exp(-decoder.log_var), decoder.log_var)
     return float(ll.mean() + entropy_hx)
 
 
@@ -199,36 +209,6 @@ def est_uba(batch: SampleBatch, critic: nets.CriticParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gradients of each bound with respect to the score matrix
-# ---------------------------------------------------------------------------
-
-
-def _infonce_upstream(scores: np.ndarray) -> np.ndarray:
-    n = scores.shape[0]
-    softmax = np.exp(scores - _logsumexp(scores, axis=1)[:, None])
-    return (np.eye(n) - softmax) / n
-
-
-def _dv_upstream(scores: np.ndarray) -> np.ndarray:
-    n = scores.shape[0]
-    masked = scores.copy()
-    np.fill_diagonal(masked, -np.inf)
-    weights = np.exp(masked - _logsumexp(masked))
-    return np.eye(n) / n - weights
-
-
-def _tuba_upstream(scores: np.ndarray, log_a: np.ndarray):
-    """Returns (d value / d scores, d value / d log_a)."""
-    n = scores.shape[0]
-    with np.errstate(over="ignore"):
-        up = -np.exp(scores - log_a[None, :]) / (n * (n - 1))
-        dlog_a = (np.exp(_offdiag_col_logmeanexp(scores) - log_a) - 1.0) / n
-    np.fill_diagonal(up, 0.0)
-    up += np.eye(n) / n
-    return up, dlog_a
-
-
-# ---------------------------------------------------------------------------
 # Gaussian decoder for the normalized lower bound
 # ---------------------------------------------------------------------------
 
@@ -252,19 +232,271 @@ def decoder_mean(decoder: DecoderParams, cond: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gaussian_ll(target: np.ndarray, mean: np.ndarray, log_var: np.ndarray) -> np.ndarray:
-    resid = target - mean
-    return -0.5 * ((resid * resid) * np.exp(-log_var) + log_var + math.log(2.0 * math.pi)).sum(
-        axis=1
-    )
+def _gaussian_ll(resid: np.ndarray, inv_var: np.ndarray, log_var: np.ndarray) -> np.ndarray:
+    """Per-row log density of a diagonal Gaussian, given the residuals from
+    its mean and its inverse variances."""
+    return -0.5 * ((resid * resid) * inv_var + log_var + math.log(2.0 * math.pi)).sum(axis=1)
 
 
-def _decoder_params(decoder: DecoderParams) -> list:
-    return nets.param_arrays(decoder.net) + [decoder.log_var]
+# ---------------------------------------------------------------------------
+# Objectives: one per estimator kind, owning the buffers of one run
+# ---------------------------------------------------------------------------
 
 
-def _decoder_from_params(decoder: DecoderParams, arrays: list) -> DecoderParams:
-    return DecoderParams(nets.with_param_arrays(decoder.net, arrays[:-1]), arrays[-1])
+class Objective:
+    """One estimator's batch value and, for the trained kinds, its gradient.
+
+    An objective is built once per training run and owns that run's
+    buffers; nothing is shared between runs or kept at module level. The
+    trained parameters live in one flat float64 vector `params`, and the
+    components (`critic`, `baseline`, `decoder`) are built once over views
+    of it, so an in-place update of `params` is seen by them without any
+    rebuild. `value_and_grad` returns the batch value and, when it is
+    finite, writes the gradient of the value (the ascent direction) into
+    the flat vector `grad`, which has the layout of `params`. The untrained
+    kinds have `params = grad = None` and only a `value`.
+
+    The critic bounds also own an n x n score table and one n x n
+    workspace, where n is the batch size: the value's reductions run in the
+    workspace, and the gradient with respect to the scores is formed there
+    afterwards, so a step allocates no n x n array. Each network's forward
+    arrays are kept from the first step and written over by later ones.
+    """
+
+    params = grad = None
+    critic = baseline = decoder = None
+    cache = None  # forward-pass arrays of the first step, written over by later steps
+
+    def value(self, batch: SampleBatch) -> float:
+        raise NotImplementedError
+
+    def value_and_grad(self, batch: SampleBatch) -> float:
+        raise NotImplementedError(f"{type(self).__name__} has nothing to train")
+
+    def _own(self, arrays: list):
+        """Copy `arrays` into `params`; returns (parameter views, gradient views)."""
+        self.params, views = nets.flat_buffer(arrays)
+        self.grad = np.zeros_like(self.params)
+        return views, nets.buffer_views(self.grad, arrays)
+
+
+class _Tractable(Objective):
+    """An upper bound on the task's closed-form densities: nothing to train."""
+
+    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
+        self.task = task
+
+
+class _BaUpper(_Tractable):
+    def value(self, batch):
+        task = self.task
+        return est_ba_upper(
+            batch,
+            lambda y, x: cond_log_density(task, y, x),
+            lambda y: marginal_log_density(task, y),
+        )
+
+
+class _L1Out(_Tractable):
+    def value(self, batch):
+        task = self.task
+        return est_l1out(batch, lambda y, x: cond_log_density(task, y, x))
+
+
+class _BaLower(Objective):
+    """Decoder bound; the network and the log-variance share one buffer."""
+
+    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
+        decoder = init_decoder(task.dim, settings.hidden, settings.seed)
+        self.h_x = marginal_entropy(task)
+        views, self.grads = self._own(nets.param_arrays(decoder.net) + [decoder.log_var])
+        self.decoder = DecoderParams(nets.with_param_arrays(decoder.net, views[:-1]), views[-1])
+
+    def value(self, batch):
+        return est_ba_lower(batch, self.decoder, self.h_x)
+
+    def value_and_grad(self, batch):
+        decoder, n = self.decoder, batch.n
+        mean, self.cache = nets.mlp_forward(decoder.net, batch.ys, out=self.cache)
+        resid = batch.xs - mean
+        inv_var = np.exp(-decoder.log_var)
+        value = float(_gaussian_ll(resid, inv_var, decoder.log_var).mean() + self.h_x)
+        if math.isfinite(value):
+            nets.mlp_backward(decoder.net, self.cache, resid * inv_var / n, out=self.grads[:-1])
+            np.divide(0.5 * ((resid * resid) * inv_var - 1.0).sum(axis=0), n,
+                      out=self.grads[-1])
+        return value
+
+
+class _CriticBound(Objective):
+    """A bound on a critic's n x n score table.
+
+    Subclasses give `from_scores`, the bound's value on a table computed in
+    the workspace (bitwise equal to the matching `*_from_scores`), and
+    `upstream`, the value's gradient with respect to the scores, which
+    reuses what `from_scores` left behind and is written into the
+    workspace.
+    """
+
+    with_baseline = False
+
+    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
+        arch = nets.CriticArch(task.dim, task.dim, form=settings.critic_form,
+                               hidden=settings.hidden, embed=settings.embed)
+        critic = nets.init_critic(arch, settings.seed)
+        arrays = nets.param_arrays(critic)
+        k = len(arrays)
+        if self.with_baseline:
+            baseline = nets.init_baseline(task.dim, settings.hidden, settings.seed)
+            arrays = arrays + nets.param_arrays(baseline)
+        views, grads = self._own(arrays)
+        self.critic = nets.with_param_arrays(critic, views[:k])
+        self.critic_grads = grads[:k]
+        if self.with_baseline:
+            self.baseline = nets.with_param_arrays(baseline, views[k:])
+            self.baseline_grads = grads[k:]
+        n = settings.batch_size
+        self.scores = np.empty((n, n))
+        self.work = np.empty((n, n))
+
+    def _scores(self, batch):
+        scores, self.cache = nets.score_matrix_with_cache(self.critic, batch, out=self.scores,
+                                                          cache=self.cache)
+        return scores, self.cache
+
+    def value(self, batch):
+        scores, _ = self._scores(batch)
+        return self.from_scores(scores)
+
+    def value_and_grad(self, batch):
+        scores, cache = self._scores(batch)
+        value = self.from_scores(scores)
+        if math.isfinite(value):
+            nets.backward_from_cache(self.critic, cache, self.upstream(scores),
+                                     out=self.critic_grads)
+        return value
+
+
+class _Dv(_CriticBound):
+    def from_scores(self, scores: np.ndarray) -> float:
+        n = scores.shape[0]
+        work = self.work
+        np.copyto(work, scores)
+        np.fill_diagonal(work, -np.inf)
+        peak = work.max()
+        np.subtract(work, peak, out=work)
+        np.exp(work, out=work)
+        self.lse = float(np.log(work.sum()) + peak)
+        return float(scores.diagonal().mean() - (self.lse - math.log(n * (n - 1))))
+
+    def upstream(self, scores: np.ndarray) -> np.ndarray:
+        """1/n on the diagonal, -e^(s_ij - lse) off it."""
+        work = self.work
+        with np.errstate(over="ignore"):  # only the diagonal, overwritten below, can overflow
+            np.subtract(scores, self.lse, out=work)
+            np.exp(work, out=work)
+        np.negative(work, out=work)
+        np.fill_diagonal(work, 1.0 / scores.shape[0])
+        return work
+
+
+class _InfoNce(_CriticBound):
+    def from_scores(self, scores: np.ndarray) -> float:
+        n = scores.shape[0]
+        work = self.work
+        peak = scores.max(axis=1, keepdims=True)
+        np.subtract(scores, peak, out=work)
+        np.exp(work, out=work)
+        self.row_lse = np.log(work.sum(axis=1)) + peak[:, 0]
+        return float((scores.diagonal() - self.row_lse + math.log(n)).mean())
+
+    def upstream(self, scores: np.ndarray) -> np.ndarray:
+        """(I - row softmax) / n."""
+        n = scores.shape[0]
+        work = self.work
+        np.subtract(scores, self.row_lse[:, None], out=work)
+        np.exp(work, out=work)
+        diagonal = (1.0 - work.diagonal()) / n
+        np.divide(work, -n, out=work)
+        np.fill_diagonal(work, diagonal)
+        return work
+
+
+class _Nwj(_CriticBound):
+    """The tangent bound with log a(y) = 1; TUBA below learns log a(y)."""
+
+    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
+        super().__init__(task, settings)
+        self.unit = np.ones(settings.batch_size)
+
+    def from_scores(self, scores: np.ndarray, log_a: np.ndarray = None) -> float:
+        log_a = self.unit if log_a is None else log_a
+        n = scores.shape[0]
+        work = self.work
+        np.copyto(work, scores)
+        np.fill_diagonal(work, -np.inf)
+        peak = work.max(axis=0, keepdims=True)
+        np.subtract(work, peak, out=work)
+        np.exp(work, out=work)
+        col_lme = np.log(work.sum(axis=0)) + peak[0] - math.log(n - 1)
+        with np.errstate(over="ignore"):  # overflow -> inf, caught by divergence checks
+            self.ratio = np.exp(col_lme - log_a)
+            penalty = self.ratio + log_a - 1.0
+        return float(scores.diagonal().mean() - penalty.mean())
+
+    def upstream(self, scores: np.ndarray, log_a: np.ndarray = None) -> np.ndarray:
+        """1/n on the diagonal, -e^(s_ij - log a_j) / (n (n - 1)) off it."""
+        log_a = self.unit if log_a is None else log_a
+        n = scores.shape[0]
+        work = self.work
+        with np.errstate(over="ignore"):
+            np.subtract(scores, log_a, out=work)
+            np.exp(work, out=work)
+        np.divide(work, -(n * (n - 1)), out=work)
+        np.fill_diagonal(work, 1.0 / n)
+        return work
+
+
+class _Tuba(_Nwj):
+    with_baseline = True
+    cache_a = None  # the baseline network's, reused like `cache`
+
+    def _forward(self, batch):
+        scores, cache = self._scores(batch)
+        log_a, self.cache_a = nets.mlp_forward(self.baseline.net, batch.ys, out=self.cache_a)
+        return scores, cache, log_a[:, 0], self.cache_a
+
+    def value(self, batch):
+        scores, _, log_a, _ = self._forward(batch)
+        return self.from_scores(scores, log_a)
+
+    def value_and_grad(self, batch):
+        scores, cache, log_a, cache_a = self._forward(batch)
+        value = self.from_scores(scores, log_a)
+        if math.isfinite(value):
+            nets.backward_from_cache(self.critic, cache, self.upstream(scores, log_a),
+                                     out=self.critic_grads)
+            dlog_a = (self.ratio - 1.0) / batch.n
+            nets.mlp_backward(self.baseline.net, cache_a, dlog_a[:, None],
+                              out=self.baseline_grads)
+        return value
+
+
+_OBJECTIVES = {
+    EstimatorKind.BA_UPPER_R: _BaUpper,
+    EstimatorKind.L1OUT: _L1Out,
+    EstimatorKind.BA_LOWER: _BaLower,
+    EstimatorKind.DV: _Dv,
+    EstimatorKind.TUBA: _Tuba,
+    EstimatorKind.NWJ: _Nwj,
+    EstimatorKind.INFONCE: _InfoNce,
+}
+
+
+def make_objective(kind, task: GaussianTask, settings: "TrainSettings") -> Objective:
+    """The objective of one estimator kind, with fresh parameters (initialized
+    from `settings.seed`) and buffers sized for batches of `settings.batch_size`."""
+    return _OBJECTIVES[EstimatorKind(kind)](task, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -351,93 +583,17 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
     persisted anywhere: pass `return_components=True` to additionally get
     the trained critic/baseline/decoder for further evaluation, or simply
     retrain from the seed.
+
+    A step draws a batch, has the run's `Objective` write the gradient into
+    its flat buffer, and updates the flat parameters and Adam moments in
+    place; after the first step it allocates no array larger than a batch
+    of hidden activations.
     """
-    kind = EstimatorKind(kind) if not isinstance(kind, EstimatorKind) else kind
+    kind = EstimatorKind(kind)
     config = _run_config(kind, task, settings)
     bs = settings.batch_size
     seed = settings.seed
-
-    h_x = marginal_entropy(task)
-    critic = baseline = decoder = None
-    params = []
-    if kind in (EstimatorKind.DV, EstimatorKind.NWJ, EstimatorKind.INFONCE, EstimatorKind.TUBA):
-        arch = nets.CriticArch(task.dim, task.dim, form=settings.critic_form,
-                               hidden=settings.hidden, embed=settings.embed)
-        critic = nets.init_critic(arch, seed)
-        params = nets.param_arrays(critic)
-        if kind is EstimatorKind.TUBA:
-            baseline = nets.init_baseline(task.dim, settings.hidden, seed)
-            params = params + nets.param_arrays(baseline)
-    elif kind is EstimatorKind.BA_LOWER:
-        decoder = init_decoder(task.dim, settings.hidden, seed)
-        params = _decoder_params(decoder)
-
-    def evaluate(batch: SampleBatch) -> float:
-        if kind is EstimatorKind.BA_UPPER_R:
-            return est_ba_upper(
-                batch,
-                lambda y, x: cond_log_density(task, y, x),
-                lambda y: marginal_log_density(task, y),
-            )
-        if kind is EstimatorKind.L1OUT:
-            return est_l1out(batch, lambda y, x: cond_log_density(task, y, x))
-        if kind is EstimatorKind.BA_LOWER:
-            return est_ba_lower(batch, decoder, h_x)
-        if kind is EstimatorKind.DV:
-            return est_dv(batch, critic)
-        if kind is EstimatorKind.TUBA:
-            return est_tuba(batch, critic, baseline)
-        if kind is EstimatorKind.NWJ:
-            return est_nwj(batch, critic)
-        return est_infonce(batch, critic)
-
-    def ascent_grads(batch: SampleBatch, step: int):
-        """(objective value, gradient list aligned with `params`).
-
-        Raises before touching gradients if the objective went non-finite,
-        so a diverged run aborts with its step index and config snapshot.
-        """
-        if kind is EstimatorKind.BA_LOWER:
-            mean, cache = nets.mlp_forward(decoder.net, batch.ys)
-            resid = batch.xs - mean
-            inv_var = np.exp(-decoder.log_var)
-            value = float(
-                -0.5 * ((resid * resid) * inv_var + decoder.log_var
-                        + math.log(2.0 * math.pi)).sum(axis=1).mean()
-                + h_x
-            )
-            if not math.isfinite(value):
-                raise TrainingDiverged(step, config)
-            dmean = resid * inv_var / bs
-            dw, db = nets.mlp_backward(decoder.net, cache, dmean)
-            dlog_var = 0.5 * ((resid * resid) * inv_var - 1.0).sum(axis=0) / bs
-            return value, nets._interleave(dw, db) + [dlog_var]
-
-        scores, cache = nets.score_matrix_with_cache(critic, batch)
-        if kind is EstimatorKind.TUBA:
-            log_a = nets.log_baseline(baseline, batch.ys)
-            value = tuba_from_scores(scores, log_a)
-            if not math.isfinite(value):
-                raise TrainingDiverged(step, config)
-            upstream, dlog_a = _tuba_upstream(scores, log_a)
-            grads = nets.backward_from_cache(critic, cache, upstream)
-            grads += nets.baseline_backward(baseline, batch.ys, dlog_a)
-            return value, grads
-        if kind is EstimatorKind.INFONCE:
-            value = infonce_from_scores(scores)
-        elif kind is EstimatorKind.DV:
-            value = dv_from_scores(scores)
-        else:  # NWJ
-            value = tuba_from_scores(scores, np.ones(bs))
-        if not math.isfinite(value):
-            raise TrainingDiverged(step, config)
-        if kind is EstimatorKind.INFONCE:
-            upstream = _infonce_upstream(scores)
-        elif kind is EstimatorKind.DV:
-            upstream = _dv_upstream(scores)
-        else:
-            upstream, _ = _tuba_upstream(scores, np.ones(bs))
-        return value, nets.backward_from_cache(critic, cache, upstream)
+    objective = make_objective(kind, task, settings)
 
     records = []
     smoothed = None
@@ -446,7 +602,7 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
         nonlocal smoothed
         eval_index = len(records)
         batch = sample(task, bs, seed, stream=2 * eval_index + 1)
-        value = evaluate(batch)
+        value = objective.value(batch)
         smoothed = value if smoothed is None else (
             settings.smoothing * smoothed + (1.0 - settings.smoothing) * value
         )
@@ -454,45 +610,18 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
 
     record(0)
     if kind.needs_training:
-        shapes = [p.shape for p in params]
-        sizes = [p.size for p in params]
-        offsets = [0]
-        for size in sizes:
-            offsets.append(offsets[-1] + size)
-        n_critic = len(nets.param_arrays(critic)) if critic is not None else 0
-
-        def rebind(flat_vector: np.ndarray):
-            nonlocal critic, baseline, decoder
-            arrays = [
-                flat_vector[o:o + size].reshape(shape)
-                for o, size, shape in zip(offsets, sizes, shapes)
-            ]
-            if critic is not None:
-                critic = nets.with_param_arrays(critic, arrays[:n_critic])
-                if baseline is not None:
-                    baseline = nets.with_param_arrays(baseline, arrays[n_critic:])
-            else:
-                decoder = _decoder_from_params(decoder, arrays)
-
-        # a single flat vector keeps the optimizer to a handful of array ops
-        # per step regardless of how many layers the components have
-        flat = np.concatenate([p.ravel() for p in params])
-        rebind(flat)
-        adam = nets.init_adam([flat], lr=settings.lr, beta1=settings.beta1,
+        adam = nets.init_adam([objective.params], lr=settings.lr, beta1=settings.beta1,
                               beta2=settings.beta2, eps=settings.eps)
-        for t in range(settings.steps):
+    for t in range(settings.steps):
+        if kind.needs_training:
             batch = sample(task, bs, seed, stream=2 * t + 2)
-            _, grads = ascent_grads(batch, t)
-            flat_grad = np.concatenate([np.ravel(g) for g in grads])
+            if not math.isfinite(objective.value_and_grad(batch)):
+                raise TrainingDiverged(t, config)
             # Adam descends, the bounds are maximized
-            adam, (flat,) = nets.adam_step(adam, [flat], [-flat_grad])
-            rebind(flat)
-            if (t + 1) % settings.eval_every == 0:
-                record(t + 1)
-    else:
-        for t in range(settings.steps):
-            if (t + 1) % settings.eval_every == 0:
-                record(t + 1)
+            np.negative(objective.grad, out=objective.grad)
+            nets.adam_update(adam, [objective.params], [objective.grad])
+        if (t + 1) % settings.eval_every == 0:
+            record(t + 1)
 
     trajectory = EstimateTrajectory(
         estimator=kind.value,
@@ -502,7 +631,9 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
         config=config,
     )
     if return_components:
-        return trajectory, {"critic": critic, "baseline": baseline, "decoder": decoder}
+        components = {"critic": objective.critic, "baseline": objective.baseline,
+                      "decoder": objective.decoder}
+        return trajectory, components
     return trajectory
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mitk.cli import main
+import mitk.cli
+from mitk.cli import build_parser, main
 from mitk.discrete import JointPmf2, format_joint_table
 
 TILTED = JointPmf2(("r0", "r1"), ("c0", "c1"), [[0.4, 0.1], [0.1, 0.4]])
@@ -130,6 +131,31 @@ class TestBench:
         for name in names:
             assert (out_dir / name).read_bytes() == first[name]
 
+    def test_failing_run_is_reported_and_the_rest_summarized(self, tmp_path, capsys,
+                                                             monkeypatch):
+        real = mitk.cli.train_estimator
+
+        def flaky(tag, task, settings):
+            if (tag, settings.seed) == ("nwj", 1):
+                raise ValueError("boom")
+            return real(tag, task, settings)
+
+        args = ["bench", "--estimators", "nwj,ba_upper", "--seeds", "2", "--seed", "0",
+                "--dim", "2", "--target-mi", "1", "--workers", "2"] + FAST
+        assert main(args + ["--out", str(tmp_path / "clean")]) == 0
+        clean = capsys.readouterr()
+        monkeypatch.setattr(mitk.cli, "train_estimator", flaky)
+        assert main(args + ["--out", str(tmp_path / "flaky")]) == 1
+        captured = capsys.readouterr()
+        assert "run failed: nwj seed=1: ValueError: boom" in captured.err
+        assert not (tmp_path / "flaky" / "nwj_2_1_1.csv").exists()
+        summary = (tmp_path / "flaky" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["ba_upper", "nwj"]
+        # the runs that finished are summarized exactly as in a clean sweep
+        clean_rows = (tmp_path / "clean" / "summary.csv").read_text().splitlines()
+        assert summary[1] == clean_rows[1]
+        assert "run failed" not in clean.err
+
     def test_unknown_estimator_rejected(self, tmp_path, capsys):
         code = main(["bench", "--estimators", "mine", "--dim", "2", "--target-mi", "1",
                      "--out", str(tmp_path)])
@@ -181,6 +207,26 @@ class TestConfigPrecedence:
                      "--steps", "0", "--batch-size", "16", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "ba_upper_1_0.143841_9.csv").exists()
+
+    def test_bad_env_seed_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MITK_SEED", "abc")
+        build_parser()  # builds without reading the environment
+        assert main(["verify", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MITK_SEED" in err and "Traceback" not in err
+        assert main(["verify", "--trials", "1", "--seed", "0"]) == 0
+        assert main(["train", "--estimator", "ba_upper", "--dim", "1", "--rho", "0.5",
+                     "--steps", "0", "--batch-size", "16", "--out", str(tmp_path)]) == 2
+        assert main(["train", "--estimator", "ba_upper", "--dim", "1", "--rho", "0.5",
+                     "--steps", "0", "--batch-size", "16", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+
+    def test_env_var_sets_default_verify_seed(self, capsys, monkeypatch):
+        assert main(["verify", "--trials", "5", "--seed", "4"]) == 0
+        explicit = capsys.readouterr().out
+        monkeypatch.setenv("MITK_SEED", "4")
+        assert main(["verify", "--trials", "5"]) == 0
+        assert capsys.readouterr().out == explicit
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         code = main(["train", "--estimator", "dv", "--dim", "2", "--target-mi", "1",

@@ -11,16 +11,22 @@ from mitk.critic import (
     CriticParams,
     Mlp,
     adam_step,
+    adam_update,
     backward,
+    backward_from_cache,
+    buffer_views,
     forward_rows,
     glorot_bound,
     init_adam,
     init_critic,
+    flat_buffer,
     init_mlp,
+    mlp_backward,
     mlp_forward,
     param_arrays,
     reset_forward_rows,
     score_matrix,
+    score_matrix_with_cache,
     with_param_arrays,
 )
 from mitk.gaussian import GaussianTask, sample
@@ -232,10 +238,35 @@ class TestAdam:
 
     def test_state_not_mutated(self):
         params = [np.array([1.0])]
+        grads = [np.array([1.0])]
         state = init_adam(params, lr=0.1)
-        adam_step(state, params, [np.array([1.0])])
+        adam_step(state, params, grads)
         assert state.step == 0
-        assert np.all(state.m[0] == 0.0)
+        assert np.all(state.m[0] == 0.0) and np.all(state.v[0] == 0.0)
+        assert params[0][0] == 1.0 and grads[0][0] == 1.0
+
+    def test_in_place_kernel_matches_functional_form_bitwise(self):
+        rng = np.random.default_rng(21)
+        params = [rng.normal(size=(3, 4)), rng.normal(size=5)]
+        state = init_adam(params, lr=0.01)
+        flat = [p.copy() for p in params]
+        in_place = init_adam(flat, lr=0.01)
+        for _ in range(5):
+            grads = [rng.normal(scale=10.0, size=p.shape) for p in params]
+            kept = [g.copy() for g in grads]
+            state, params = adam_step(state, params, grads)
+            adam_update(in_place, flat, grads)
+            assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+            assert in_place.step == state.step
+            for a, b in zip(params + state.m + state.v, flat + in_place.m + in_place.v):
+                assert np.array_equal(a, b)
+
+    def test_in_place_kernel_rejects_mismatch_before_writing(self):
+        params = [np.zeros(3), np.zeros(2)]
+        state = init_adam(params)
+        with pytest.raises(ValueError):
+            adam_update(state, params, [np.ones(3), np.ones(4)])
+        assert state.step == 0 and np.all(params[0] == 0.0) and np.all(state.m[0] == 0.0)
 
 
 class TestParamArrays:
@@ -250,3 +281,53 @@ class TestParamArrays:
         params = init_critic(CriticArch(2, 2, form="joint", hidden=(4,)), seed=6)
         with pytest.raises(ValueError):
             with_param_arrays(params, param_arrays(params) + [np.zeros(1)])
+
+
+class TestBuffers:
+    def test_flat_buffer_views_alias_one_vector(self):
+        params = init_critic(CriticArch(3, 2, form="separable", hidden=(4,), embed=3), seed=6)
+        arrays = param_arrays(params)
+        flat, views = flat_buffer(arrays)
+        assert flat.size == sum(a.size for a in arrays)
+        for a, v in zip(arrays, views):
+            assert np.array_equal(a, v) and np.shares_memory(v, flat)
+        flat += 1.0
+        assert all(np.array_equal(v, a + 1.0) for a, v in zip(arrays, views))
+        with pytest.raises(ValueError):
+            buffer_views(np.zeros(flat.size + 1), arrays)
+
+    @pytest.mark.parametrize("form", ["joint", "separable"])
+    def test_out_buffers_give_the_same_bits(self, form):
+        rng = np.random.default_rng(4)
+        params = init_critic(CriticArch(3, 3, form=form, hidden=(6, 5), embed=4), seed=3)
+        params = with_param_arrays(
+            params, [a + rng.normal(scale=0.1, size=a.shape) for a in param_arrays(params)])
+        n = 7
+        upstream = rng.normal(size=(n, n))
+        table, cache = None, None
+        for seed in range(3):
+            batch = small_batch(n=n, seed=seed)
+            want, want_cache = score_matrix_with_cache(params, batch)
+            want_grads = backward_from_cache(params, want_cache, upstream)
+            if table is None:
+                table = np.empty((n, n))
+            got, cache = score_matrix_with_cache(params, batch, out=table, cache=cache)
+            assert got is table and np.array_equal(got, want)
+            grads = [np.full(a.shape, np.nan) for a in param_arrays(params)]
+            backward_from_cache(params, cache, upstream, out=grads)
+            assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+    def test_forward_reuses_the_cache_it_is_given(self):
+        net = init_mlp((3, 5, 4, 2), np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(6, 3))
+        _, first = mlp_forward(net, x)
+        out, second = mlp_forward(net, 2.0 * x, out=first)
+        held = first[0][1:] + first[1]
+        assert all(a is b for a, b in zip(second[0][1:] + second[1], held))
+        want, _ = mlp_forward(net, 2.0 * x)
+        assert np.array_equal(out, want)
+        dw, db = mlp_backward(net, mlp_forward(net, x)[1], np.ones((6, 2)))
+        grads = [np.empty_like(a) for a in param_arrays(net)]
+        mlp_backward(net, mlp_forward(net, x, out=second)[1], np.ones((6, 2)), out=grads)
+        assert all(np.array_equal(g, w) for g, w in zip(grads, [dw[0], db[0], dw[1], db[1],
+                                                               dw[2], db[2]]))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mitk.critic as nets
 from mitk.critic import (
     BaselineParams,
     CriticArch,
@@ -13,6 +14,8 @@ from mitk.critic import (
     init_baseline,
     init_critic,
     log_baseline,
+    mlp_forward,
+    param_arrays,
 )
 from mitk.estimators import (
     DecoderParams,
@@ -32,6 +35,7 @@ from mitk.estimators import (
     est_uba,
     infonce_from_scores,
     init_decoder,
+    make_objective,
     nwj_from_scores,
     train_estimator,
     trajectory_csv_text,
@@ -354,6 +358,24 @@ class TestTraining:
         assert err.value.step >= 0
         assert err.value.config["estimator"] == "nwj"
 
+    def test_parameters_stay_views_of_one_buffer_across_steps(self, monkeypatch):
+        task = GaussianTask(2, 0.5)
+        settings = TrainSettings(steps=5, batch_size=16, seed=1, hidden=(8,), embed=4)
+        rebuilds, updated = [], []
+        real_rebuild, real_update = nets.with_param_arrays, nets.adam_update
+        monkeypatch.setattr(nets, "with_param_arrays",
+                            lambda *args: rebuilds.append(1) or real_rebuild(*args))
+        monkeypatch.setattr(nets, "adam_update",
+                            lambda state, params, grads: updated.append(params[0])
+                            or real_update(state, params, grads))
+        _, parts = train_estimator("tuba", task, settings, return_components=True)
+        assert len(rebuilds) == 2  # critic and baseline, once per run
+        assert len(updated) == 5 and all(flat is updated[0] for flat in updated)
+        arrays = param_arrays(parts["critic"]) + param_arrays(parts["baseline"])
+        assert all(np.shares_memory(a, updated[0]) for a in arrays)
+        fresh = param_arrays(init_critic(CriticArch(2, 2, hidden=(8,), embed=4), seed=1))
+        assert not np.array_equal(arrays[0], fresh[0])  # the views saw the updates
+
     def test_kind_direction_flags(self):
         assert EstimatorKind.BA_UPPER_R.is_upper
         assert EstimatorKind.L1OUT.is_upper
@@ -407,6 +429,123 @@ def _evaluate(tag, batch, task, parts):
     if tag == "nwj":
         return est_nwj(batch, parts["critic"])
     return est_infonce(batch, parts["critic"])
+
+
+def _tables(n, rng):
+    """Random score tables, ending with ones whose |s| reaches 1e3, where
+    the exponentials overflow or underflow."""
+    yield rng.normal(scale=3.0, size=(n, n))
+    yield np.full((n, n), 1.7)
+    yield rng.uniform(-1e3, 1e3, size=(n, n))
+    big_diagonal = rng.normal(size=(n, n))
+    np.fill_diagonal(big_diagonal, 1e3)
+    yield big_diagonal
+    yield np.full((n, n), -1e3) + rng.normal(size=(n, n))
+    yield 1e3 + rng.normal(size=(n, n))
+
+
+class TestFusedObjectives:
+    """The training objectives against the reference reductions, bit for bit."""
+
+    N = 9
+
+    def objective(self, tag, form="separable"):
+        settings = TrainSettings(batch_size=self.N, hidden=(8,), embed=4, critic_form=form)
+        return make_objective(tag, GaussianTask(2, 0.5), settings)
+
+    @pytest.mark.parametrize("tag,reference", [
+        ("dv", dv_from_scores), ("nwj", nwj_from_scores), ("infonce", infonce_from_scores)])
+    def test_value_on_tables_equals_reference(self, tag, reference):
+        rng = np.random.default_rng(31)
+        objective = self.objective(tag)
+        with np.errstate(over="ignore"):
+            for table in _tables(self.N, rng):
+                kept = table.copy()
+                assert objective.from_scores(table) == reference(table)
+                assert np.array_equal(table, kept)
+
+    def test_tuba_value_on_tables_equals_reference(self):
+        rng = np.random.default_rng(32)
+        objective = self.objective("tuba")
+        for table in _tables(self.N, rng):
+            for log_a in (rng.normal(size=self.N), np.ones(self.N),
+                          rng.uniform(-1e3, 1e3, size=self.N)):
+                assert objective.from_scores(table, log_a) == tuba_from_scores(table, log_a)
+
+    @pytest.mark.parametrize("form", ["joint", "separable"])
+    def test_value_on_batches_equals_estimator(self, form):
+        task = GaussianTask(2, 0.5)
+        for tag, estimate in (("dv", est_dv), ("nwj", est_nwj), ("infonce", est_infonce)):
+            objective = self.objective(tag, form)
+            for seed in range(3):
+                batch = sample(task, self.N, seed=seed)
+                assert objective.value(batch) == estimate(batch, objective.critic)
+        objective = self.objective("tuba", form)
+        for seed in range(3):
+            batch = sample(task, self.N, seed=seed)
+            assert objective.value(batch) == est_tuba(batch, objective.critic,
+                                                      objective.baseline)
+
+    def test_untrained_kinds_have_no_gradient(self):
+        objective = self.objective("l1out")
+        assert objective.params is None and objective.grad is None
+        with pytest.raises(NotImplementedError):
+            objective.value_and_grad(sample(GaussianTask(2, 0.5), self.N, seed=0))
+
+
+def _kink_distance(objective, batch):
+    """Smallest |hidden preactivation| over every network the objective runs."""
+    runs = []
+    if objective.critic is not None:
+        if objective.critic.form == "separable":
+            runs += list(zip(objective.critic.nets, (batch.xs, batch.ys)))
+        else:
+            n = batch.n
+            paired = np.concatenate([np.repeat(batch.xs, n, axis=0),
+                                     np.tile(batch.ys, (n, 1))], axis=1)
+            runs.append((objective.critic.nets[0], paired))
+    if objective.baseline is not None:
+        runs.append((objective.baseline.net, batch.ys))
+    if objective.decoder is not None:
+        runs.append((objective.decoder.net, batch.ys))
+    return min(float(np.abs(z).min()) for net, x in runs for z in mlp_forward(net, x)[1][1][:-1])
+
+
+class TestObjectiveGradients:
+    """value_and_grad against central differences of value, through the flat buffers."""
+
+    @pytest.mark.parametrize("tag,form", [
+        ("dv", "joint"), ("dv", "separable"), ("nwj", "joint"), ("nwj", "separable"),
+        ("infonce", "joint"), ("infonce", "separable"), ("tuba", "joint"),
+        ("tuba", "separable"), ("ba_lower", "separable")])
+    def test_gradient_matches_finite_differences(self, tag, form):
+        rng = np.random.default_rng(41)
+        task = GaussianTask(2, 0.6)
+        settings = TrainSettings(batch_size=6, hidden=(5, 4), embed=3, critic_form=form)
+        objective = make_objective(tag, task, settings)
+        # a generic point: off the zero-bias init, a baseline that is not
+        # constant, and a log-variance away from zero
+        objective.params += rng.normal(scale=0.3, size=objective.params.size)
+        batch = sample(task, 6, seed=7)
+        assert _kink_distance(objective, batch) > 1e-4
+        value = objective.value_and_grad(batch)
+        assert value == pytest.approx(objective.value(batch), rel=1e-12, abs=1e-12)
+        analytic = objective.grad.copy()
+        flat = objective.params
+        numeric = np.empty_like(flat)
+        h = 1e-6
+        for k in range(flat.size):
+            kept = flat[k]
+            flat[k] = kept + h
+            up = objective.value(batch)
+            flat[k] = kept - h
+            down = objective.value(batch)
+            flat[k] = kept
+            numeric[k] = (up - down) / (2 * h)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+        assert np.count_nonzero(analytic) > analytic.size // 3  # ReLU leaves some units dead
+        if tag in ("tuba", "ba_lower"):
+            assert analytic[-1] != 0.0  # the baseline's output bias, the last log-variance
 
 
 class TestTrajectoryInvariants:
