@@ -10,7 +10,6 @@ initialization and the single evaluation cancel out. Configuration: d=20,
 unless the environment already sets it.
 
     PYTHONPATH=src python scripts/step_profile.py
-    PYTHONPATH=src python scripts/step_profile.py --forms separable --steps 400
 
 A step that allocates nothing of its own shows about one fault per step
 or less; fresh n x n tables show up as tens to hundreds.
@@ -18,7 +17,6 @@ or less; fresh n x n tables show up as tens to hundreds.
 
 from __future__ import annotations
 
-import argparse
 import os
 import resource
 import time
@@ -32,6 +30,8 @@ from mitk.estimators import TrainSettings, train_estimator  # noqa: E402
 from mitk.gaussian import task_for_target_mi  # noqa: E402
 
 ESTIMATORS = ("ba_lower", "dv", "tuba", "nwj", "infonce")
+# measured steps per estimator; a joint-critic step costs about 30 separable ones
+MEASURED_STEPS = {"separable": 200, "joint": 4}
 
 
 def _usage():
@@ -63,21 +63,12 @@ def profile(tag, task, form, base, extra):
     return wall / extra * 1e3, faults / extra, system / (user + system)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--forms", default="separable,joint",
-                        help="comma-separated critic forms")
-    parser.add_argument("--steps", type=int, default=200,
-                        help="measured steps per separable estimator")
-    parser.add_argument("--joint-steps", type=int, default=4,
-                        help="measured steps per joint-critic estimator")
-    args = parser.parse_args(argv)
+def main() -> int:
     task = task_for_target_mi(20, 2.0)
     threads = os.environ["OPENBLAS_NUM_THREADS"]
     print(f"# numpy {np.__version__}, OPENBLAS_NUM_THREADS={threads}, pid {os.getpid()}")
     print(f"{'estimator':<10} {'form':<10} {'ms/step':>9} {'faults/step':>12} {'sys_share':>10}")
-    for form in args.forms.split(","):
-        extra = args.steps if form == "separable" else args.joint_steps
+    for form, extra in MEASURED_STEPS.items():
         for tag in ESTIMATORS:
             if tag == "ba_lower" and form != "separable":
                 continue  # the decoder bound has no critic

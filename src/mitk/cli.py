@@ -30,6 +30,7 @@ from .estimators import (
     EstimatorKind,
     TrainSettings,
     TrainingDiverged,
+    make_objective,
     train_estimator,
     trajectory_csv_text,
     trajectory_filename,
@@ -337,9 +338,11 @@ def _cmd_bench(args) -> int:
     config["estimators"] = args.estimators
     task = _task_from_config(config)
     tags = tuple(t.strip() for t in str(config["estimators"]).split(",") if t.strip())
-    for tag in tags:
-        EstimatorKind(tag)  # fail fast on typos
     master = int(config["seed"])
+    # bad input (a typo, bad settings) raises here, not in every run of the pool
+    settings = _settings_from_config(config, master)
+    for tag in tags:
+        make_objective(tag, task, settings)
     seeds = tuple(master + i for i in range(int(config["seeds"])))
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

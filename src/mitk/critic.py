@@ -204,9 +204,10 @@ def score_matrix(params: CriticParams, batch) -> np.ndarray:
 def score_matrix_with_cache(params: CriticParams, batch, out=None, cache=None):
     """score_matrix plus the forward cache needed to backpropagate through it.
 
-    With `out`, an n x n array, the table is written there; with `cache`,
-    one returned by an earlier call at the same batch size, the forward
-    pass writes into its arrays (see mlp_forward).
+    With `out`, an n x n array, the separable table is written there; the
+    joint table is always a view of the forward cache's output, so `out`
+    is not used. With `cache`, one returned by an earlier call at the same
+    batch size, the forward pass writes into its arrays (see mlp_forward).
     """
     xs, ys = batch.xs, batch.ys
     n = xs.shape[0]
@@ -219,11 +220,7 @@ def score_matrix_with_cache(params: CriticParams, batch, out=None, cache=None):
     (net,) = params.nets
     paired = np.concatenate([np.repeat(xs, n, axis=0), np.tile(ys, (n, 1))], axis=1)
     scores, cache = mlp_forward(net, paired, out=cache)
-    scores = scores.reshape(n, n)
-    if out is not None:
-        np.copyto(out, scores)
-        scores = out
-    return scores, cache
+    return scores.reshape(n, n), cache
 
 
 def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=None):

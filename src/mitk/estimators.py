@@ -12,8 +12,9 @@ would already be meaningless.
 
 Training runs through one `Objective` per estimator kind (`make_objective`),
 which owns the buffers of one run: the flat parameter and gradient
-vectors, and for the critic bounds one n x n score table and one n x n
-workspace that each bound's value and gradient share. Nothing is kept at
+vectors, and for the critic bounds one n x n workspace that each bound's
+value and gradient share (plus the separable critic's score table; the
+joint critic's is a view of its network's output). Nothing is kept at
 module level, so concurrent runs share no state. The `*_from_scores` and
 `est_*` functions are the plain, allocating forms of the same values for
 use outside a run; the objectives' values equal them bit for bit.
@@ -256,11 +257,12 @@ class Objective:
     the flat vector `grad`, which has the layout of `params`. The untrained
     kinds have `params = grad = None` and only a `value`.
 
-    The critic bounds also own an n x n score table and one n x n
-    workspace, where n is the batch size: the value's reductions run in the
-    workspace, and the gradient with respect to the scores is formed there
-    afterwards, so a step allocates no n x n array. Each network's forward
-    arrays are kept from the first step and written over by later ones.
+    The critic bounds also own one n x n workspace, where n is the batch
+    size, and the separable ones an n x n score table: the value's
+    reductions run in the workspace, and the gradient with respect to the
+    scores is formed there afterwards, so a step allocates no n x n array.
+    Each network's forward arrays are kept from the first step and written
+    over by later ones.
     """
 
     params = grad = None
@@ -356,7 +358,8 @@ class _CriticBound(Objective):
             self.baseline = nets.with_param_arrays(baseline, views[k:])
             self.baseline_grads = grads[k:]
         n = settings.batch_size
-        self.scores = np.empty((n, n))
+        # the joint table is a view of the critic's forward cache
+        self.scores = np.empty((n, n)) if arch.form == "separable" else None
         self.work = np.empty((n, n))
 
     def _scores(self, batch):

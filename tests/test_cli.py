@@ -161,6 +161,22 @@ class TestBench:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", [["--batch-size", "1"], ["--eval-every", "0"],
+                                     ["--set", "critic.form=dense"],
+                                     ["--set", "critic.embed=0"]])
+    def test_bad_settings_are_an_input_error_before_any_run(self, tmp_path, capsys,
+                                                            monkeypatch, bad):
+        def never(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(mitk.cli, "train_estimator", never)
+        code = main(["bench", "--estimators", "nwj,ba_upper", "--seeds", "2",
+                     "--dim", "2", "--target-mi", "1", "--out", str(tmp_path)] + bad)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run failed" not in err
+        assert not (tmp_path / "summary.csv").exists()
+
 
 class TestTableMi:
     def test_exact_value_printed(self, tmp_path, capsys):

@@ -304,18 +304,22 @@ class TestBuffers:
             params, [a + rng.normal(scale=0.1, size=a.shape) for a in param_arrays(params)])
         n = 7
         upstream = rng.normal(size=(n, n))
-        table, cache = None, None
+        table = np.empty((n, n)) if form == "separable" else None
+        cache = None
         for seed in range(3):
             batch = small_batch(n=n, seed=seed)
             want, want_cache = score_matrix_with_cache(params, batch)
             want_grads = backward_from_cache(params, want_cache, upstream)
-            if table is None:
-                table = np.empty((n, n))
             got, cache = score_matrix_with_cache(params, batch, out=table, cache=cache)
-            assert got is table and np.array_equal(got, want)
+            assert np.array_equal(got, want)
+            if form == "separable":
+                assert got is table
+            else:  # a view of the cache's output, written over by each forward pass
+                assert np.shares_memory(got, cache[1][-1])
             grads = [np.full(a.shape, np.nan) for a in param_arrays(params)]
             backward_from_cache(params, cache, upstream, out=grads)
             assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+            assert np.array_equal(got, want)  # backward leaves the table readable
 
     def test_forward_reuses_the_cache_it_is_given(self):
         net = init_mlp((3, 5, 4, 2), np.random.default_rng(0))
