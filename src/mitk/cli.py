@@ -381,6 +381,9 @@ def _cmd_bench(args) -> int:
     (out_dir / "summary.csv").write_text(_summary_csv_text(rows))
     for tag, seed, message in failures:
         print(f"run failed: {tag} seed={seed}: {message}", file=sys.stderr)
+    for tag in dict.fromkeys(tag for tag, _, _ in failures):
+        print(f"summary: {tag} covers {len(results.get(tag, ()))} of {len(seeds)} seeds",
+              file=sys.stderr)
     return 1 if failures else 0
 
 

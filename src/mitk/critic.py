@@ -49,22 +49,7 @@ __all__ = [
     "init_adam",
     "adam_step",
     "adam_update",
-    "forward_rows",
-    "reset_forward_rows",
 ]
-
-# instrumentation: rows pushed through mlp_forward since the last reset,
-# used to verify the separable form does O(n) tower work, not O(n^2)
-_forward_rows = 0
-
-
-def forward_rows() -> int:
-    return _forward_rows
-
-
-def reset_forward_rows() -> None:
-    global _forward_rows
-    _forward_rows = 0
 
 
 @dataclass
@@ -107,8 +92,6 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, out=None):
     preactivation and hidden activation is written into that cache's arrays
     and the cache returned refers to them.
     """
-    global _forward_rows
-    _forward_rows += x.shape[0]
     inputs = [x]
     preacts = []
     last = len(mlp.weights) - 1

@@ -35,7 +35,6 @@ from .gaussian import (
     cond_log_density,
     marginal_entropy,
     marginal_log_density,
-    pairwise_cond_log_density,
     sample,
     true_mi,
 )
@@ -55,14 +54,12 @@ __all__ = [
     "est_tuba",
     "est_nwj",
     "est_infonce",
-    "est_uba",
     "Objective",
     "make_objective",
     "dv_from_scores",
     "tuba_from_scores",
     "nwj_from_scores",
     "infonce_from_scores",
-    "uba_from_scores",
     "train_estimator",
     "trajectory_csv_text",
     "trajectory_filename",
@@ -144,14 +141,6 @@ def infonce_from_scores(scores: np.ndarray) -> float:
     return float((scores.diagonal() - row_lse + math.log(n)).mean())
 
 
-def uba_from_scores(scores: np.ndarray) -> float:
-    """Diagnostic only: plugs the batch log partition straight into the
-    unnormalized bound. The plug-in ln of a sample mean is biased, so this
-    is neither a lower nor an upper bound; it is exposed for inspecting
-    the gap the tangent trick closes."""
-    return float(scores.diagonal().mean() - _offdiag_col_logmeanexp(scores).mean())
-
-
 # ---------------------------------------------------------------------------
 # Batch-level estimators
 # ---------------------------------------------------------------------------
@@ -203,10 +192,6 @@ def est_nwj(batch: SampleBatch, critic: nets.CriticParams) -> float:
 
 def est_infonce(batch: SampleBatch, critic: nets.CriticParams) -> float:
     return infonce_from_scores(nets.score_matrix(critic, batch))
-
-
-def est_uba(batch: SampleBatch, critic: nets.CriticParams) -> float:
-    return uba_from_scores(nets.score_matrix(critic, batch))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mitk.cli
+import mitk.variational
 from mitk.cli import build_parser, main
 from mitk.discrete import JointPmf2, format_joint_table
 
@@ -30,6 +31,17 @@ class TestVerify:
         assert main(["verify", "--trials", "20", "--corrupt-oracle"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_violated_property_is_a_fail_line_not_an_exception(self, capsys, monkeypatch):
+        concave = (("negated-square", lambda t: -t * t),)
+        monkeypatch.setattr(mitk.variational, "_CONVEX_FAMILY", concave)
+        assert main(["verify", "--trials", "10"]) == 1
+        captured = capsys.readouterr()
+        (line,) = [l for l in captured.out.splitlines() if l.startswith("T07")]
+        assert line.endswith("FAIL")
+        assert "check gap-margin" in captured.err
+        # every other theorem still reports
+        assert sum(l.endswith("pass") for l in captured.out.splitlines()) == 12
 
     def test_zero_trials_vacuous_with_warning(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
@@ -148,13 +160,15 @@ class TestBench:
         assert main(args + ["--out", str(tmp_path / "flaky")]) == 1
         captured = capsys.readouterr()
         assert "run failed: nwj seed=1: ValueError: boom" in captured.err
+        assert "summary: nwj covers 1 of 2 seeds" in captured.err.splitlines()
+        assert "summary: ba_upper" not in captured.err
         assert not (tmp_path / "flaky" / "nwj_2_1_1.csv").exists()
         summary = (tmp_path / "flaky" / "summary.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in summary[1:]] == ["ba_upper", "nwj"]
         # the runs that finished are summarized exactly as in a clean sweep
         clean_rows = (tmp_path / "clean" / "summary.csv").read_text().splitlines()
         assert summary[1] == clean_rows[1]
-        assert "run failed" not in clean.err
+        assert "run failed" not in clean.err and "summary:" not in clean.err
 
     def test_unknown_estimator_rejected(self, tmp_path, capsys):
         code = main(["bench", "--estimators", "mine", "--dim", "2", "--target-mi", "1",

@@ -15,7 +15,6 @@ from mitk.critic import (
     backward,
     backward_from_cache,
     buffer_views,
-    forward_rows,
     glorot_bound,
     init_adam,
     init_critic,
@@ -24,7 +23,6 @@ from mitk.critic import (
     mlp_backward,
     mlp_forward,
     param_arrays,
-    reset_forward_rows,
     score_matrix,
     score_matrix_with_cache,
     with_param_arrays,
@@ -137,14 +135,13 @@ class TestScoreMatrix:
     def test_operation_count_separable_is_linear(self):
         n = 32
         batch = small_batch(n=n)
+        # rows pushed through the networks, read off the inputs in the forward cache
         sep = init_critic(CriticArch(3, 3, form="separable", hidden=(8,), embed=4), seed=0)
-        reset_forward_rows()
-        score_matrix(sep, batch)
-        assert forward_rows() == 2 * n
+        _, (_, cache_x, _, cache_y) = score_matrix_with_cache(sep, batch)
+        assert cache_x[0][0].shape[0] + cache_y[0][0].shape[0] == 2 * n
         joint = init_critic(CriticArch(3, 3, form="joint", hidden=(8,)), seed=0)
-        reset_forward_rows()
-        score_matrix(joint, batch)
-        assert forward_rows() == n * n
+        _, (inputs, _) = score_matrix_with_cache(joint, batch)
+        assert inputs[0].shape[0] == n * n
 
 
 class TestBackward:

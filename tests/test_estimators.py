@@ -32,7 +32,6 @@ from mitk.estimators import (
     est_l1out,
     est_nwj,
     est_tuba,
-    est_uba,
     infonce_from_scores,
     init_decoder,
     make_objective,
@@ -162,12 +161,6 @@ class TestCriticEstimators:
         batch = sample(task, 8192, seed=5)
         value = nwj_from_scores(1.0 + log_ratio_scores(task, batch))
         assert value == pytest.approx(MI_D1_RHO05, abs=0.02)
-
-    def test_uba_diagnostic_runs(self):
-        task = GaussianTask(2, 0.5)
-        batch = sample(task, 32, seed=1)
-        critic = init_critic(CriticArch(2, 2, hidden=(8,), embed=4), seed=0)
-        assert math.isfinite(est_uba(batch, critic))
 
 
 class TestTractableEstimators:

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import mitk.variational
 from mitk.discrete import (
     CondPmf,
     JointPmf2,
+    JointPmf3,
     Pmf,
     kl_divergence,
     mutual_information,
@@ -77,19 +79,19 @@ class TestGoldenDecomposition:
 
 class TestProductDistance:
     def test_independent_joint(self):
-        qx, qy, value = product_distance_minimize(INDEP, iters=1)
+        qx, qy, value = product_distance_minimize(INDEP)
         assert value == pytest.approx(0.0, abs=1e-13)
         assert np.allclose(qx.probs, [0.3, 0.7], atol=1e-15)
         assert np.allclose(qy.probs, [0.7, 0.3], atol=1e-15)
 
     def test_tilted_reaches_marginals_and_mi(self):
-        qx, qy, value = product_distance_minimize(TILTED, iters=5)
+        qx, qy, value = product_distance_minimize(TILTED)
         assert value == pytest.approx(MI_4114, abs=1e-12)
         assert np.allclose(qx.probs, [0.5, 0.5], atol=1e-15)
         assert np.allclose(qy.probs, [0.5, 0.5], atol=1e-15)
 
     def test_diagonal_value_is_entropy(self):
-        _, _, value = product_distance_minimize(DIAGONAL, iters=2)
+        _, _, value = product_distance_minimize(DIAGONAL)
         assert value == pytest.approx(LN2, abs=1e-13)
 
     def test_any_product_at_or_above_information(self):
@@ -99,10 +101,6 @@ class TestProductDistance:
             qx = random_pmf(rng, 2, labels=TILTED.row_alphabet)
             qy = random_pmf(rng, 2, labels=TILTED.col_alphabet)
             assert distance_to_product(TILTED, qx, qy) >= mi - 1e-10
-
-    def test_iters_validated(self):
-        with pytest.raises(ValueError):
-            product_distance_minimize(TILTED, iters=0)
 
 
 class TestDonskerVaradhan:
@@ -301,6 +299,17 @@ class TestMarkovAndDpi:
         ok = CondPmf(("y0", "y1"), ("z0", "z1"), [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError):
             MarkovChainSpec(px, bad, ok)
+
+    def test_violation_is_returned_not_raised(self, monkeypatch):
+        # a table that is no Markov chain: Z copies X, Y is independent of both
+        copy = np.zeros((2, 2, 2))
+        copy[0, :, 0] = copy[1, :, 1] = 0.25
+        monkeypatch.setattr(mitk.variational, "markov_joint",
+                            lambda spec: JointPmf3((("x0", "x1"), ("y0", "y1"), ("z0", "z1")),
+                                                   copy))
+        ixy, ixz = dpi_check(random_markov_chain(np.random.default_rng(0), 2, 2, 2))
+        assert ixy == pytest.approx(0.0, abs=1e-15)
+        assert ixz == pytest.approx(LN2, abs=1e-15)
 
     def test_random_chains_never_violate(self):
         rng = np.random.default_rng(37)
