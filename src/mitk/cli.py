@@ -2,6 +2,7 @@
 
 Subcommands:
   verify    run the full theorem probe suite, one report line per theorem
+            (each theorem's wall seconds go to stderr)
   train     train/evaluate a single estimator, writing a trajectory CSV
   bench     estimator x seed sweep with an aligned summary table + summary.csv
   table-mi  exact mutual information of a plain-text joint probability table
@@ -189,6 +190,7 @@ def _cmd_verify(args) -> int:
             f"{report.theorem} {report.name:26s} trials={report.trials:<6d} "
             f"worst_slack={report.worst_slack:+.3e}  {status}"
         )
+        print(f"{report.theorem} seconds={report.seconds:.3f}", file=sys.stderr)
         if not report.passed:
             for check in report.checks:
                 if not check.passed:

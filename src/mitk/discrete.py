@@ -439,11 +439,13 @@ def random_joint3(rng, n0: int, n1: int, n2: int) -> JointPmf3:
     return JointPmf3(alphabets, _normalized(rng, (n0, n1, n2)))
 
 
-def random_cond(rng, n_given: int, n_target: int) -> CondPmf:
+def random_cond(rng, n_given: int, n_target: int, labels=None) -> CondPmf:
+    """Random channel; `labels` is an optional (given, target) pair of alphabets."""
     raw = rng.exponential(size=(n_given, n_target))
     rows = raw / raw.sum(axis=1, keepdims=True)
-    given = tuple(f"g{i}" for i in range(n_given))
-    target = tuple(f"t{i}" for i in range(n_target))
+    if labels is None:
+        labels = (tuple(f"g{i}" for i in range(n_given)), tuple(f"t{i}" for i in range(n_target)))
+    given, target = labels
     return CondPmf(given, target, rows)
 
 

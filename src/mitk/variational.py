@@ -7,11 +7,13 @@ witnessing inputs, so any failure is reproducible from the report alone.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
+from scipy.special import rel_entr
 
 from .discrete import (
     CondPmf,
@@ -85,6 +87,7 @@ class ProbeReport:
     name: str
     trials: int
     checks: tuple
+    seconds: float = field(default=0.0, compare=False)  # wall time, not a result
 
     @property
     def passed(self) -> bool:
@@ -95,12 +98,12 @@ class ProbeReport:
         return max(self.checks, key=lambda c: c.worst - c.tolerance).worst
 
 
-def _report(probe, trials: int, checks) -> ProbeReport:
+def _report(probe, trials: int, checks, seconds: float = 0.0) -> ProbeReport:
     """`probe`'s report under its `_SUITE` id and name; vacuous if it ran no trials."""
     theorem, name = _SUITE[probe]
     if trials == 0:
         checks = (CheckResult("vacuous", 0.0, 0.0, True),)
-    return ProbeReport(theorem, name, trials, checks)
+    return ProbeReport(theorem, name, trials, checks, seconds)
 
 
 class _Worst:
@@ -191,10 +194,9 @@ def dpi_check(spec: MarkovChainSpec) -> tuple:
 
 def random_markov_chain(rng, nx: int, ny: int, nz: int) -> MarkovChainSpec:
     px = random_pmf(rng, nx, labels=tuple(f"x{i}" for i in range(nx)))
-    pyx = random_cond(rng, nx, ny)
-    pyx = CondPmf(px.alphabet, tuple(f"y{i}" for i in range(ny)), pyx.probs)
-    pzy = random_cond(rng, ny, nz)
-    pzy = CondPmf(pyx.target_alphabet, tuple(f"z{i}" for i in range(nz)), pzy.probs)
+    pyx = random_cond(rng, nx, ny, labels=(px.alphabet, tuple(f"y{i}" for i in range(ny))))
+    pzy = random_cond(rng, ny, nz,
+                      labels=(pyx.target_alphabet, tuple(f"z{i}" for i in range(nz))))
     return MarkovChainSpec(px, pyx, pzy)
 
 
@@ -257,6 +259,27 @@ def product_distance_minimize(j: JointPmf2) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum e^a of a 1-D array, by the operations of scipy.special.logsumexp.
+
+    The m entries tied at the peak are split out of the sum for precision:
+    peak + ln m + log1p(s / m), with s the sum of the other shifted terms.
+    An infinite or undefined result falls back to ln sum e^a directly.
+    """
+    peak = a.max()
+    ties = a == peak
+    count = ties.sum(dtype=float)
+    with np.errstate(invalid="ignore"):
+        rest = np.exp(np.where(ties, -np.inf, a) - peak).sum()
+    if rest != 0.0:
+        rest = rest / count
+    out = np.log1p(rest) + np.log(count) + peak
+    if not np.isfinite(out):
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
 def dv_value(p: Pmf, q: Pmf, g) -> float:
     """E_p[g] - ln E_q[e^g], the Donsker-Varadhan objective for score vector g.
 
@@ -272,7 +295,7 @@ def dv_value(p: Pmf, q: Pmf, g) -> float:
         raise ValueError("score vector entries must be finite")
     with np.errstate(divide="ignore"):
         log_q = np.where(q.probs > 0, np.log(np.where(q.probs > 0, q.probs, 1.0)), -np.inf)
-    return float(p.probs @ g - logsumexp(g + log_q))
+    return float(p.probs @ g - _logsumexp(g + log_q))
 
 
 def dv_supremum(p: Pmf, q: Pmf, steps: int = 2000, lr: float = 0.5) -> tuple:
@@ -326,6 +349,17 @@ def _restricted_growth_strings(n: int, max_blocks: int):
     yield from rec(1, 1) if n > 1 else iter([(0,)])
 
 
+@functools.lru_cache(maxsize=None)
+def _rgs_table(n: int) -> tuple:
+    """(strings, block counts): every partition of n items, one int8 row each, in
+    enumeration order; filtering to rows with <= k blocks gives the order for k."""
+    table = np.array(list(_restricted_growth_strings(n, n)), dtype=np.int8)
+    counts = table.max(axis=1) + 1
+    table.setflags(write=False)
+    counts.setflags(write=False)
+    return table, counts
+
+
 def partition_divergence(p: Pmf, q: Pmf, partition: Partition) -> float:
     """sum_E P[E] ln(P[E]/Q[E]) over the partition's blocks.
 
@@ -352,6 +386,8 @@ def gyp_supremum(p: Pmf, q: Pmf, max_blocks: int) -> tuple:
 
     Enumerates every partition of the alphabet into at most max_blocks
     blocks (restricted-growth-string canonical form, so no duplicates).
+    The partitions are valued once per (p, q) for every max_blocks at
+    once, so calls on one pair at several max_blocks share that work.
     At max_blocks = alphabet size the supremum is the exact divergence,
     attained by the all-singletons partition. Alphabets limited to 8.
     """
@@ -362,23 +398,44 @@ def gyp_supremum(p: Pmf, q: Pmf, max_blocks: int) -> tuple:
         raise ValueError("max_blocks must be >= 1")
     if p.alphabet != q.alphabet:
         raise ValueError("gyp_supremum requires identical alphabets")
-    best_value = -math.inf
-    best_blocks = None
-    for rgs in _restricted_growth_strings(n, max_blocks):
-        n_blocks = max(rgs) + 1
-        masses_p = [0.0] * n_blocks
-        masses_q = [0.0] * n_blocks
-        members = [[] for _ in range(n_blocks)]
-        for i, b in enumerate(rgs):
-            masses_p[b] += p.probs[i]
-            masses_q[b] += q.probs[i]
-            members[b].append(p.alphabet[i])
-        value = math.fsum(float(rel_entr(mp, mq)) for mp, mq in zip(masses_p, masses_q))
-        # >= so later (finer) partitions win ties; singletons enumerate last
-        if value >= best_value:
-            best_value = value
-            best_blocks = tuple(tuple(m) for m in members)
-    return Partition(best_blocks), best_value
+    row, value = _gyp_ladder(p.probs.tobytes(), q.probs.tobytes())[min(max_blocks, n) - 1]
+    table, counts = _rgs_table(n)
+    members = [[] for _ in range(counts[row])]
+    for label, b in zip(p.alphabet, table[row]):
+        members[b].append(label)
+    return Partition(members), value
+
+
+# keyed by the bits of p and q, so the max_blocks = 1..n calls made on one
+# pair share a single enumeration
+@functools.lru_cache(maxsize=1)
+def _gyp_ladder(p_bits: bytes, q_bits: bytes) -> tuple:
+    """((best row of `_rgs_table(n)`, value) for max_blocks = 1..n), from one enumeration.
+
+    Each block mass is summed in symbol order and each partition's value is
+    an exact sum of its block terms. Among tied partitions the one
+    enumerated last wins, so the all-singletons partition wins at k = n.
+    """
+    p, q = np.frombuffer(p_bits), np.frombuffer(q_bits)
+    n = len(p)
+    table, counts = _rgs_table(n)
+    rows = np.arange(len(table))
+    masses_p = np.zeros((len(table), n))
+    masses_q = np.zeros((len(table), n))
+    for i in range(n):
+        masses_p[rows, table[:, i]] += p[i]
+        masses_q[rows, table[:, i]] += q[i]
+    terms = rel_entr(masses_p, masses_q, out=masses_p)
+    # 256 rows at a time, so no list of the whole table's floats is built
+    values = np.array([math.fsum(row) for start in range(0, len(table), 256)
+                       for row in terms[start:start + 256].tolist()])
+    ladder = []
+    for k in range(1, n + 1):
+        (allowed,) = np.nonzero(counts <= k)
+        candidates = values[allowed]
+        best = int(allowed[np.flatnonzero(candidates == candidates.max())[-1]])
+        ladder.append((best, float(values[best])))
+    return tuple(ladder)
 
 
 def gyp_mi_supremum(j: JointPmf2, max_blocks: int) -> float:
@@ -865,6 +922,14 @@ def run_probe_suite(trials: int = 1000, seed: int = 0, corrupt: bool = False) ->
     A violated property is a failed check with its witness, never an
     exception. `corrupt` flips on the negative-control mode: one formula
     route is deliberately perturbed so the suite must fail, proving the
-    probes can catch a broken oracle.
+    probes can catch a broken oracle. Each report carries its probe's wall
+    seconds.
     """
-    return [_report(probe, *probe(trials, seed, corrupt)) for probe in _SUITE]
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    reports = []
+    for probe in _SUITE:
+        start = time.perf_counter()
+        trials_run, checks = probe(trials, seed, corrupt)
+        reports.append(_report(probe, trials_run, checks, time.perf_counter() - start))
+    return reports

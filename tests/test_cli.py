@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config precedence, reproducible artifacts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,44 @@ FAST = [
 ]
 
 
+GOLDEN_VERIFY_100_SEED0 = """\
+T01 entropy-chain-rule         trials=100    worst_slack=+4.441e-16  pass
+T02 mi-formula-agreement       trials=100    worst_slack=+0.000e+00  pass
+T03 mi-chain-rule              trials=100    worst_slack=+8.327e-16  pass
+T04 kl-convexity               trials=310    worst_slack=+0.000e+00  pass
+T05 entropy-concavity          trials=310    worst_slack=+0.000e+00  pass
+T06 mi-concavity-convexity     trials=310    worst_slack=+0.000e+00  pass
+T07 jensen-inequality          trials=100    worst_slack=+0.000e+00  pass
+T08 divergence-nonnegativity   trials=100    worst_slack=+0.000e+00  pass
+T09 data-processing            trials=1100   worst_slack=+6.661e-16  pass
+T10 golden-identity            trials=100    worst_slack=+1.110e-16  pass
+T11 distance-to-product        trials=10     worst_slack=+0.000e+00  pass
+T12 donsker-varadhan           trials=1010   worst_slack=+2.034e-10  pass
+T13 gelfand-yaglom-perez       trials=5      worst_slack=+0.000e+00  pass
+"""
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--trials", "40", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.strip().splitlines() if l.startswith("T")]
+        captured = capsys.readouterr()
+        lines = [l for l in captured.out.strip().splitlines() if l.startswith("T")]
         assert len(lines) == 13
         assert all(line.endswith("pass") for line in lines)
+        # each theorem's wall seconds go to stderr, never into the report lines
+        timings = captured.err.splitlines()
+        assert [t.split()[0] for t in timings] == [f"T{i:02d}" for i in range(1, 14)]
+        assert all(re.fullmatch(r"T\d\d seconds=\d+\.\d{3}", t) for t in timings)
+
+    def test_report_lines_are_golden(self, capsys):
+        assert main(["verify", "--trials", "100", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == GOLDEN_VERIFY_100_SEED0
+
+    def test_negative_trials_is_bad_input(self, capsys):
+        assert main(["verify", "--trials", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "trials" in captured.err
 
     def test_corrupt_oracle_fails(self, capsys):
         assert main(["verify", "--trials", "20", "--corrupt-oracle"]) == 1

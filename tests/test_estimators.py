@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mitk.critic as nets
 from mitk.critic import (
@@ -130,6 +133,85 @@ class TestScoreReductions:
                 s.diagonal().mean()
                 - np.log(np.exp(s[~np.eye(64, dtype=bool)]).mean())
             ) - 1e-9
+
+
+@st.composite
+def scores_and_baseline(draw, bound=1e3):
+    """(n x n score matrix with |s| <= bound, log-baseline vector in [-5, 5])."""
+    n = draw(st.integers(2, 10))
+    scores = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-bound, bound)))
+    log_a = draw(hnp.arrays(np.float64, (n,), elements=st.floats(-5.0, 5.0)))
+    return scores, log_a
+
+
+def close(a: float, b: float, scale: float) -> bool:
+    """Equal up to rounding: 1e-12 of the largest magnitude involved (thousands of ulps)."""
+    return a == b or abs(a - b) <= 1e-12 * max(1.0, scale, abs(a), abs(b))
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+class TestScoreProperties:
+    @given(scores_and_baseline())
+    @PROPERTY_SETTINGS
+    def test_infonce_capped_at_log_batch(self, case):
+        s, _ = case
+        n = s.shape[0]
+        assert infonce_from_scores(s) <= math.log(n) + 1e-12 * max(1.0, np.abs(s).max())
+
+    @given(scores_and_baseline())
+    @PROPERTY_SETTINGS
+    def test_tuba_at_unit_log_baseline_is_nwj_bitwise(self, case):
+        s, _ = case
+        np.testing.assert_array_equal(tuba_from_scores(s, np.ones(s.shape[0])),
+                                      nwj_from_scores(s))
+
+    @given(scores_and_baseline(), st.floats(-100.0, 100.0))
+    @PROPERTY_SETTINGS
+    def test_dv_invariant_to_global_shift(self, case, shift):
+        s, _ = case
+        scale = np.abs(s).max() + abs(shift)
+        assert close(dv_from_scores(s + shift), dv_from_scores(s), scale)
+
+    @given(st.data())
+    @PROPERTY_SETTINGS
+    def test_infonce_invariant_to_row_shifts(self, data):
+        s, _ = data.draw(scores_and_baseline())
+        shifts = data.draw(hnp.arrays(np.float64, (s.shape[0],),
+                                      elements=st.floats(-100.0, 100.0)))
+        scale = np.abs(s).max() + np.abs(shifts).max()
+        assert close(infonce_from_scores(s + shifts[:, None]), infonce_from_scores(s), scale)
+
+    @given(st.data())
+    @PROPERTY_SETTINGS
+    def test_values_invariant_to_permuting_pairs(self, data):
+        s, log_a = data.draw(scores_and_baseline())
+        perm = np.array(data.draw(st.permutations(range(s.shape[0]))))
+        # pair i moves to slot perm^-1(i): rows (x) and columns (y) move together
+        t = s[perm][:, perm]
+        scale = np.abs(s).max()
+        assert close(dv_from_scores(t), dv_from_scores(s), scale)
+        assert close(infonce_from_scores(t), infonce_from_scores(s), scale)
+        assert close(nwj_from_scores(t), nwj_from_scores(s), scale)
+        assert close(tuba_from_scores(t, log_a[perm]), tuba_from_scores(s, log_a), scale)
+
+    @given(scores_and_baseline())
+    @PROPERTY_SETTINGS
+    def test_log_domain_values_finite_at_extreme_scores(self, case):
+        s, log_a = case
+        assert math.isfinite(dv_from_scores(s))
+        assert math.isfinite(infonce_from_scores(s))
+        # the tangent bounds pay e^(score): past the exp overflow they are -inf, never NaN
+        assert not math.isnan(nwj_from_scores(s))
+        assert not math.isnan(tuba_from_scores(s, log_a))
+
+    @given(scores_and_baseline(bound=700.0))
+    @PROPERTY_SETTINGS
+    def test_tangent_values_finite_below_exp_overflow(self, case):
+        s, log_a = case
+        assert math.isfinite(nwj_from_scores(s))
+        assert math.isfinite(tuba_from_scores(s, log_a))
 
 
 class TestCriticEstimators:

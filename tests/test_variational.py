@@ -1,9 +1,11 @@
 """Variational identities, suprema, and the theorem probe suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.special
 
 import mitk.variational
 from mitk.discrete import (
@@ -46,6 +48,42 @@ DIAGONAL = JointPmf2(("r0", "r1"), ("c0", "c1"), [[0.5, 0.0], [0.0, 0.5]])
 INDEP = JointPmf2(("r0", "r1"), ("c0", "c1"), [[0.21, 0.09], [0.49, 0.21]])
 P_AB = Pmf(("a", "b"), [0.75, 0.25])
 Q_AB = Pmf(("a", "b"), [0.5, 0.5])
+
+
+def _per_k_rgs(n, max_blocks):
+    """Restricted-growth strings of n items into <= max_blocks blocks, in lexicographic order."""
+    if n == 1:
+        return [(0,)]
+    out = []
+
+    def rec(prefix, used):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for b in range(min(used + 1, max_blocks)):
+            rec(prefix + [b], used if b < used else used + 1)
+
+    rec([0], 1)
+    return out
+
+
+def _per_k_gyp(p, q, max_blocks):
+    """Reference GYP supremum: one pass over the strings for this max_blocks alone,
+    block masses summed in symbol order, the last of tied partitions kept."""
+    best_value, best_blocks = -math.inf, None
+    for rgs in _per_k_rgs(len(p), max_blocks):
+        n_blocks = max(rgs) + 1
+        masses_p, masses_q = [0.0] * n_blocks, [0.0] * n_blocks
+        members = [[] for _ in range(n_blocks)]
+        for i, b in enumerate(rgs):
+            masses_p[b] += p.probs[i]
+            masses_q[b] += q.probs[i]
+            members[b].append(p.alphabet[i])
+        value = math.fsum(float(scipy.special.rel_entr(a, b))
+                          for a, b in zip(masses_p, masses_q))
+        if value >= best_value:
+            best_value, best_blocks = value, tuple(tuple(m) for m in members)
+    return best_blocks, best_value
 
 
 class TestGoldenDecomposition:
@@ -143,6 +181,29 @@ class TestDonskerVaradhan:
         _, value = dv_supremum(p, q)
         assert value == pytest.approx(kl_divergence(p, q), abs=1e-6)
 
+    def test_logsumexp_bitwise_equals_scipy(self):
+        rng = np.random.default_rng(5)
+        vectors = [
+            np.array([0.0]),
+            np.array([3.0, 3.0, 3.0]),  # all tied at the peak
+            np.array([1.0, 2.0, 2.0, -np.inf]),
+            np.array([-np.inf, 0.5, -np.inf]),
+            np.array([-np.inf, -np.inf]),  # empty support: ln 0
+            np.array([700.0, 699.5, -700.0, 700.0]),
+            np.array([-745.0, -746.0, -800.0]),
+            np.array([1e308, 1e308, 0.0]),  # the peak-shifted form overflows
+        ]
+        for _ in range(2000):
+            a = rng.normal(scale=rng.choice([1.0, 30.0, 300.0]), size=int(rng.integers(1, 17)))
+            a[rng.uniform(size=a.size) < 0.2] = -np.inf
+            if rng.uniform() < 0.3:
+                a[rng.integers(a.size, size=2)] = a.max()  # ties at the peak
+            vectors.append(a)
+        for a in vectors:
+            with np.errstate(all="ignore"):
+                expected = float(scipy.special.logsumexp(a))
+            assert mitk.variational._logsumexp(a).hex() == expected.hex(), a
+
     def test_requires_full_support(self):
         p = Pmf(("a", "b"), [1.0, 0.0])
         with pytest.raises(ValueError):
@@ -195,6 +256,24 @@ class TestGyp:
             Partition((("a", "b"), ("b",)))
         with pytest.raises(ValueError):
             partition_divergence(P_AB, Q_AB, Partition((("a",),)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ladder_matches_per_k_enumeration(self, n):
+        rng = np.random.default_rng(100 + n)
+        labels = tuple(f"s{i}" for i in range(n))
+        p = random_pmf(rng, n, labels=labels)
+        q = random_pmf(rng, n, labels=labels)
+        cases = [(p, q), (p, p)]  # p == p: every partition ties at 0
+        if n > 1:
+            # zero-mass symbols: 0 * ln(0 / x) = 0 terms, and x * ln(x / 0) = inf terms
+            hole = np.append(p.probs[1:], 0.0) / p.probs[1:].sum()
+            cases += [(Pmf(labels, hole), q), (q, Pmf(labels, hole))]
+        for a, b in cases:
+            for k in range(1, n + 2):
+                part, value = gyp_supremum(a, b, k)
+                ref_blocks, ref_value = _per_k_gyp(a, b, k)
+                assert value.hex() == ref_value.hex()
+                assert part.blocks == ref_blocks
 
     def test_mi_rectangles(self):
         assert gyp_mi_supremum(INDEP, max_blocks=2) == pytest.approx(0.0, abs=1e-13)
@@ -337,6 +416,10 @@ class TestProbeSuite:
         failed = [r for r in reports if not r.passed]
         assert any(r.theorem == "T02" for r in failed)
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_probe_suite(trials=-1, seed=0)
+
     def test_zero_trials_vacuous(self):
         reports = run_probe_suite(trials=0, seed=0)
         assert all(r.passed for r in reports)
@@ -347,3 +430,6 @@ class TestProbeSuite:
         b = run_probe_suite(trials=30, seed=7)
         for ra, rb in zip(a, b):
             assert ra.worst_slack == rb.worst_slack
+        # wall seconds are carried on each report but are no part of its result
+        assert [replace(r, checks=()) for r in a] == [replace(r, checks=()) for r in b]
+        assert all(r.seconds > 0.0 for r in a)
