@@ -18,8 +18,8 @@ from mitk.gaussian import sample, task_for_target_mi, true_mi
 def run(steps: int = 3000, batches: int = 200) -> None:
     task = task_for_target_mi(20, 6.0)
     settings = TrainSettings(steps=steps, batch_size=128, seed=0)
-    trajectory, parts = train_estimator("infonce", task, settings, return_components=True)
-    critic = parts["critic"]
+    trajectory, objective = train_estimator("infonce", task, settings, return_components=True)
+    critic = objective.critic
 
     nce = np.array([
         est_infonce(sample(task, 128, seed=7, stream=10_000 + k), critic)

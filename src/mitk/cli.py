@@ -39,7 +39,7 @@ from .estimators import (
 from .gaussian import GaussianTask, task_for_target_mi, true_mi
 from .variational import run_probe_suite
 
-__all__ = ["main", "BenchConfig", "SummaryRow"]
+__all__ = ["main", "SummaryRow"]
 
 
 def _default_seed() -> int:
@@ -118,13 +118,13 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve_config(args, flag_keys: dict) -> dict:
+def _resolve_config(args, flag_keys: tuple) -> dict:
     """defaults < config file < explicit flags < --set pairs, last wins."""
     config = dict(_DEFAULTS, seed=None)
     if getattr(args, "config", None):
         config.update(_load_config_file(args.config))
-    for key, attr in flag_keys.items():
-        value = getattr(args, attr, None)
+    for key in flag_keys:
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     for pair in getattr(args, "set", None) or []:
@@ -206,16 +206,7 @@ def _cmd_verify(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_FLAGS = {
-    "dim": "dim",
-    "rho": "rho",
-    "target_mi": "target_mi",
-    "steps": "steps",
-    "batch_size": "batch_size",
-    "eval_every": "eval_every",
-    "out": "out",
-    "seed": "seed",
-}
+_TRAIN_FLAGS = ("dim", "rho", "target_mi", "steps", "batch_size", "eval_every", "out", "seed")
 
 
 def _cmd_train(args) -> int:
@@ -243,26 +234,6 @@ def _cmd_train(args) -> int:
 
 
 @dataclass(frozen=True)
-class BenchConfig:
-    """One benchmark sweep: a task crossed with estimators and seeds."""
-
-    task: GaussianTask
-    estimators: tuple
-    seeds: tuple
-    steps: int
-    batch_size: int
-    out_dir: Path
-    workers: int
-    raw: dict
-
-    def __post_init__(self):
-        if not self.estimators or not self.seeds:
-            raise ValueError("estimator and seed lists must be nonempty")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-
-
-@dataclass(frozen=True)
 class SummaryRow:
     """Across-seed aggregate for one estimator on one task.
 
@@ -279,10 +250,10 @@ class SummaryRow:
     violation: bool
 
 
-def _bench_one(config: BenchConfig, tag: str, seed: int):
-    settings = _settings_from_config(config.raw, seed)
-    trajectory = train_estimator(tag, config.task, settings)
-    path = config.out_dir / trajectory_filename(trajectory)
+def _bench_one(config: dict, task: GaussianTask, out_dir: Path, tag: str, seed: int):
+    settings = _settings_from_config(config, seed)
+    trajectory = train_estimator(tag, task, settings)
+    path = out_dir / trajectory_filename(trajectory)
     path.write_text(trajectory_csv_text(trajectory))
     return trajectory
 
@@ -332,7 +303,7 @@ def _summary_table_text(rows: list) -> str:
     return "\n".join(lines)
 
 
-_BENCH_FLAGS = dict(_TRAIN_FLAGS, seeds="seeds", workers="workers")
+_BENCH_FLAGS = _TRAIN_FLAGS + ("seeds", "workers")
 
 
 def _cmd_bench(args) -> int:
@@ -346,26 +317,19 @@ def _cmd_bench(args) -> int:
     for tag in tags:
         make_objective(tag, task, settings)
     seeds = tuple(master + i for i in range(int(config["seeds"])))
+    if not tags or not seeds:
+        raise ValueError("estimator and seed lists must be nonempty")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    bench = BenchConfig(
-        task=task,
-        estimators=tags,
-        seeds=seeds,
-        steps=int(config["steps"]),
-        batch_size=int(config["batch_size"]),
-        out_dir=out_dir,
-        workers=int(config["workers"]),
-        raw=config,
-    )
     _echo_config(config, out_dir)
 
-    runs = [(tag, seed) for tag in bench.estimators for seed in bench.seeds]
+    runs = [(tag, seed) for tag in tags for seed in seeds]
     results: dict = {}
     failures = []
-    with ThreadPoolExecutor(max_workers=max(1, bench.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, int(config["workers"]))) as pool:
         futures = {
-            pool.submit(_bench_one, bench, tag, seed): (tag, seed) for tag, seed in runs
+            pool.submit(_bench_one, config, task, out_dir, tag, seed): (tag, seed)
+            for tag, seed in runs
         }
         for future, (tag, seed) in futures.items():
             try:

@@ -28,7 +28,6 @@ __all__ = [
     "Mlp",
     "CriticArch",
     "CriticParams",
-    "BaselineParams",
     "AdamState",
     "init_mlp",
     "mlp_forward",
@@ -37,7 +36,6 @@ __all__ = [
     "init_critic",
     "score_matrix",
     "score_matrix_with_cache",
-    "backward",
     "backward_from_cache",
     "param_arrays",
     "with_param_arrays",
@@ -58,14 +56,6 @@ class Mlp:
 
     weights: list
     biases: list
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
 
 
 def glorot_bound(fan_in: int, fan_out: int) -> float:
@@ -226,15 +216,6 @@ def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=N
     return _interleave(dw, db)
 
 
-def backward(params: CriticParams, batch, upstream: np.ndarray):
-    """Exact gradients of sum(upstream * scores) in param_arrays order."""
-    n = batch.xs.shape[0]
-    if upstream.shape != (n, n):
-        raise ValueError(f"upstream must be ({n}, {n})")
-    _, cache = score_matrix_with_cache(params, batch)
-    return backward_from_cache(params, cache, upstream)
-
-
 def _interleave(ws, bs):
     out = []
     for w, b in zip(ws, bs):
@@ -250,8 +231,6 @@ def param_arrays(params) -> list:
         for net in params.nets:
             out.extend(_interleave(net.weights, net.biases))
         return out
-    if isinstance(params, BaselineParams):
-        return _interleave(params.net.weights, params.net.biases)
     if isinstance(params, Mlp):
         return _interleave(params.weights, params.biases)
     raise TypeError(f"no parameter layout for {type(params)!r}")
@@ -272,8 +251,6 @@ def with_param_arrays(params, arrays: list):
     if isinstance(params, CriticParams):
         nets = tuple(take_mlp(net) for net in params.nets)
         rebuilt = CriticParams(params.form, nets)
-    elif isinstance(params, BaselineParams):
-        rebuilt = BaselineParams(take_mlp(params.net))
     elif isinstance(params, Mlp):
         rebuilt = take_mlp(params)
     else:
@@ -306,24 +283,25 @@ def buffer_views(flat: np.ndarray, arrays: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BaselineParams:
-    net: Mlp
-
-
-def init_baseline(y_dim: int, hidden, seed: int) -> BaselineParams:
+def init_baseline(y_dim: int, hidden, seed: int) -> Mlp:
     rng = np.random.default_rng([seed, 1])
-    return BaselineParams(init_mlp((y_dim, *tuple(hidden), 1), rng))
+    return init_mlp((y_dim, *tuple(hidden), 1), rng)
 
 
-def log_baseline(params: BaselineParams, ys: np.ndarray) -> np.ndarray:
-    out, _ = mlp_forward(params.net, ys)
+def log_baseline(net: Mlp, ys: np.ndarray) -> np.ndarray:
+    out, _ = mlp_forward(net, ys)
     return out[:, 0]
 
 
-def baseline_backward(params: BaselineParams, ys: np.ndarray, dlog_a: np.ndarray):
-    out, cache = mlp_forward(params.net, ys)
-    dw, db = mlp_backward(params.net, cache, dlog_a[:, None])
+def baseline_backward(net: Mlp, ys: np.ndarray, dlog_a: np.ndarray):
+    """Gradients of sum(dlog_a * log a(ys)) in param_arrays order.
+
+    Training does not call this (the TUBA objective backpropagates the
+    forward cache it keeps); it stays because perfbench/tracing.py traces
+    it by name and its tests require every traced name to exist.
+    """
+    out, cache = mlp_forward(net, ys)
+    dw, db = mlp_backward(net, cache, dlog_a[:, None])
     return _interleave(dw, db)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "TrainingDiverged",
     "DecoderParams",
     "init_decoder",
-    "decoder_mean",
     "est_ba_upper",
     "est_ba_lower",
     "est_l1out",
@@ -181,7 +180,7 @@ def est_dv(batch: SampleBatch, critic: nets.CriticParams) -> float:
 
 
 def est_tuba(batch: SampleBatch, critic: nets.CriticParams,
-             baseline: nets.BaselineParams) -> float:
+             baseline: nets.Mlp) -> float:
     scores = nets.score_matrix(critic, batch)
     return tuba_from_scores(scores, nets.log_baseline(baseline, batch.ys))
 
@@ -211,11 +210,6 @@ class DecoderParams:
 def init_decoder(dim: int, hidden, seed: int) -> DecoderParams:
     rng = np.random.default_rng([seed, 2])
     return DecoderParams(nets.init_mlp((dim, *tuple(hidden), dim), rng), np.zeros(dim))
-
-
-def decoder_mean(decoder: DecoderParams, cond: np.ndarray) -> np.ndarray:
-    out, _ = nets.mlp_forward(decoder.net, cond)
-    return out
 
 
 def _gaussian_ll(resid: np.ndarray, inv_var: np.ndarray, log_var: np.ndarray) -> np.ndarray:
@@ -451,7 +445,7 @@ class _Tuba(_Nwj):
 
     def _forward(self, batch):
         scores, cache = self._scores(batch)
-        log_a, self.cache_a = nets.mlp_forward(self.baseline.net, batch.ys, out=self.cache_a)
+        log_a, self.cache_a = nets.mlp_forward(self.baseline, batch.ys, out=self.cache_a)
         return scores, cache, log_a[:, 0], self.cache_a
 
     def value(self, batch):
@@ -465,7 +459,7 @@ class _Tuba(_Nwj):
             nets.backward_from_cache(self.critic, cache, self.upstream(scores, log_a),
                                      out=self.critic_grads)
             dlog_a = (self.ratio - 1.0) / batch.n
-            nets.mlp_backward(self.baseline.net, cache_a, dlog_a[:, None],
+            nets.mlp_backward(self.baseline, cache_a, dlog_a[:, None],
                               out=self.baseline_grads)
         return value
 
@@ -544,10 +538,11 @@ class EstimateTrajectory:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training objective goes non-finite."""
+    """Raised when a training objective or a held-out estimate goes non-finite;
+    the message names which of the two (`what`) and the value it read."""
 
-    def __init__(self, step: int, config: dict):
-        super().__init__(f"non-finite objective at step {step}; config={config}")
+    def __init__(self, step: int, config: dict, what: str, value: float):
+        super().__init__(f"non-finite {what} {value} at step {step}; config={config}")
         self.step = step
         self.config = config
 
@@ -567,10 +562,12 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
     train and are simply evaluated on the same schedule. Held-out batches
     are drawn every `eval_every` steps (plus once before any training);
     training and evaluation use disjoint Philox streams, so a trajectory is
-    bit-reproducible from (config, seed) alone. Components are not
-    persisted anywhere: pass `return_components=True` to additionally get
-    the trained critic/baseline/decoder for further evaluation, or simply
-    retrain from the seed.
+    bit-reproducible from (config, seed) alone. Nothing trained is
+    persisted: pass `return_components=True` to get `(trajectory,
+    objective)`, whose `value(batch)` evaluates the trained estimator and
+    whose `critic`, `baseline` and `decoder` are its trained components,
+    or simply retrain from the seed. A non-finite training objective or
+    held-out estimate raises `TrainingDiverged` at the step it occurs.
 
     A step draws a batch, has the run's `Objective` write the gradient into
     its flat buffer, and updates the flat parameters and Adam moments in
@@ -591,6 +588,8 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
         eval_index = len(records)
         batch = sample(task, bs, seed, stream=2 * eval_index + 1)
         value = objective.value(batch)
+        if not math.isfinite(value):
+            raise TrainingDiverged(step, config, "held-out estimate", value)
         smoothed = value if smoothed is None else (
             settings.smoothing * smoothed + (1.0 - settings.smoothing) * value
         )
@@ -603,8 +602,9 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
     for t in range(settings.steps):
         if kind.needs_training:
             batch = sample(task, bs, seed, stream=2 * t + 2)
-            if not math.isfinite(objective.value_and_grad(batch)):
-                raise TrainingDiverged(t, config)
+            value = objective.value_and_grad(batch)
+            if not math.isfinite(value):
+                raise TrainingDiverged(t, config, "objective", value)
             # Adam descends, the bounds are maximized
             np.negative(objective.grad, out=objective.grad)
             nets.adam_update(adam, [objective.params], [objective.grad])
@@ -619,9 +619,7 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
         config=config,
     )
     if return_components:
-        components = {"critic": objective.critic, "baseline": objective.baseline,
-                      "decoder": objective.decoder}
-        return trajectory, components
+        return trajectory, objective
     return trajectory
 
 

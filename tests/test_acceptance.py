@@ -14,13 +14,13 @@ import pytest
 from scipy import integrate
 
 from mitk.critic import (
-    BaselineParams,
     CriticArch,
     Mlp,
-    backward,
+    backward_from_cache,
     init_critic,
     param_arrays,
     score_matrix,
+    score_matrix_with_cache,
     with_param_arrays,
 )
 from mitk.discrete import (
@@ -193,7 +193,7 @@ def test_criterion_5_tuba_nwj_bitwise():
     dim = 4
     task = task_for_target_mi(dim, 1.0)
     # baseline net with zero weights and unit bias: log a(y) = 1 exactly
-    frozen = BaselineParams(Mlp([np.zeros((dim, 1))], [np.array([1.0])]))
+    frozen = Mlp([np.zeros((dim, 1))], [np.array([1.0])])
     critic = None
     for index in range(100):
         if index % 20 == 0:
@@ -207,11 +207,11 @@ def test_criterion_5_tuba_nwj_bitwise():
 def test_criterion_6_infonce_cap():
     task = task_for_target_mi(20, 6.0)
     settings = TrainSettings(steps=3000, batch_size=128, seed=0)
-    trained, components = train_estimator("infonce", task, settings,
-                                          return_components=True)
+    trained, objective = train_estimator("infonce", task, settings,
+                                         return_components=True)
     assert trained.final_smoothed > 1.0  # the critic actually learned something
 
-    critic = components["critic"]
+    critic = objective.critic
     nce_values = []
     nwj_values = []
     for k in range(500):
@@ -260,7 +260,8 @@ def test_criterion_7_gradients():
             if _kink_distance_critic(params, batch) < 1e-3:
                 continue
             upstream = rng.normal(size=(n, n))
-            analytic = backward(params, batch, upstream)
+            analytic = backward_from_cache(params, score_matrix_with_cache(params, batch)[1],
+                                           upstream)
             arrays = param_arrays(params)
 
             def value(arrs):

@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, config precedence, reproducible artifacts."""
 
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mitk.cli
+import mitk.estimators
 import mitk.variational
 from mitk.cli import build_parser, main
 from mitk.discrete import JointPmf2, format_joint_table
@@ -135,6 +141,39 @@ class TestTrain:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_finite_held_out_estimate_is_a_divergence(self, tmp_path, capsys,
+                                                          monkeypatch):
+        real = mitk.estimators._Nwj.value
+        calls = []
+
+        def overflowing(self, batch):
+            # the held-out evaluations run at steps 0, 20 and 40; the one at 40 overflows
+            calls.append(1)
+            return -math.inf if len(calls) == 3 else real(self, batch)
+
+        monkeypatch.setattr(mitk.estimators._Nwj, "value", overflowing)
+        code = main(["train", "--estimator", "nwj", "--dim", "2", "--target-mi", "1",
+                     "--seed", "0", "--out", str(tmp_path)] + FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite held-out estimate -inf at step 40" in err
+        assert not list(tmp_path.glob("nwj_*.csv"))
+
+    def test_blas_thread_count_does_not_change_artifacts(self, tmp_path):
+        src = Path(mitk.__file__).resolve().parents[1]
+        args = [sys.executable, "-m", "mitk.cli", "train", "--estimator", "nwj", "--dim", "8",
+                "--target-mi", "1", "--seed", "0", "--steps", "20", "--batch-size", "64",
+                "--eval-every", "10", "--set", "critic.form=joint", "--out", "out"]
+        outputs = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / threads
+            run_dir.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            subprocess.run(args, cwd=run_dir, env=env, check=True, capture_output=True)
+            outputs.append({p.name: p.read_bytes() for p in (run_dir / "out").iterdir()})
+        assert sorted(outputs[0]) == ["config_resolved.txt", "nwj_8_1_0.csv"]
+        assert outputs[0] == outputs[1]
+
 
 class TestBench:
     def test_sweep_writes_runs_and_summary(self, tmp_path, capsys):
@@ -203,6 +242,18 @@ class TestBench:
         assert summary[1] == clean_rows[1]
         assert "run failed" not in clean.err and "summary:" not in clean.err
 
+    def test_worker_count_does_not_change_artifacts(self, tmp_path, capsys):
+        args = ["bench", "--estimators", "dv,tuba,nwj,infonce,ba_lower,ba_upper,l1out",
+                "--seeds", "2", "--seed", "0", "--dim", "2", "--target-mi", "1"] + FAST
+        outputs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / workers
+            assert main(args + ["--workers", workers, "--out", str(out_dir)]) == 0
+            # config_resolved.txt echoes the worker count and the directory, so it differs
+            outputs.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
+        assert len(outputs[0]) == 7 * 2 + 1 and "summary.csv" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_unknown_estimator_rejected(self, tmp_path, capsys):
         code = main(["bench", "--estimators", "mine", "--dim", "2", "--target-mi", "1",
                      "--out", str(tmp_path)])
@@ -210,7 +261,7 @@ class TestBench:
 
     @pytest.mark.parametrize("bad", [["--batch-size", "1"], ["--eval-every", "0"],
                                      ["--set", "critic.form=dense"],
-                                     ["--set", "critic.embed=0"]])
+                                     ["--set", "critic.embed=0"], ["--seeds", "0"]])
     def test_bad_settings_are_an_input_error_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch, bad):
         def never(*args):

@@ -10,13 +10,10 @@ from hypothesis.extra import numpy as hnp
 
 import mitk.critic as nets
 from mitk.critic import (
-    BaselineParams,
     CriticArch,
     CriticParams,
     Mlp,
-    init_baseline,
     init_critic,
-    log_baseline,
     mlp_forward,
     param_arrays,
 )
@@ -26,7 +23,6 @@ from mitk.estimators import (
     EstimatorKind,
     TrainSettings,
     TrainingDiverged,
-    decoder_mean,
     dv_from_scores,
     est_ba_lower,
     est_ba_upper,
@@ -65,8 +61,8 @@ def constant_critic(c: float, dim: int) -> CriticParams:
     return CriticParams("joint", (Mlp([w], [b]),))
 
 
-def constant_baseline(log_a: float, dim: int) -> BaselineParams:
-    return BaselineParams(Mlp([np.zeros((dim, 1))], [np.array([log_a])]))
+def constant_baseline(log_a: float, dim: int) -> Mlp:
+    return Mlp([np.zeros((dim, 1))], [np.array([log_a])])
 
 
 def log_ratio_scores(task: GaussianTask, batch) -> np.ndarray:
@@ -379,11 +375,6 @@ class TestDecoder:
                 worst = max(worst, abs(numeric - got) / scale)
         assert worst < 1e-5
 
-    def test_decoder_mean_shape(self):
-        decoder = init_decoder(3, (5,), seed=1)
-        out = decoder_mean(decoder, np.zeros((7, 3)))
-        assert out.shape == (7, 3)
-
 
 class TestTraining:
     def test_zero_steps_single_record(self):
@@ -443,10 +434,10 @@ class TestTraining:
         monkeypatch.setattr(nets, "adam_update",
                             lambda state, params, grads: updated.append(params[0])
                             or real_update(state, params, grads))
-        _, parts = train_estimator("tuba", task, settings, return_components=True)
+        _, objective = train_estimator("tuba", task, settings, return_components=True)
         assert len(rebuilds) == 2  # critic and baseline, once per run
         assert len(updated) == 5 and all(flat is updated[0] for flat in updated)
-        arrays = param_arrays(parts["critic"]) + param_arrays(parts["baseline"])
+        arrays = param_arrays(objective.critic) + param_arrays(objective.baseline)
         assert all(np.shares_memory(a, updated[0]) for a in arrays)
         fresh = param_arrays(init_critic(CriticArch(2, 2, hidden=(8,), embed=4), seed=1))
         assert not np.array_equal(arrays[0], fresh[0])  # the views saw the updates
@@ -469,10 +460,9 @@ class TestBoundSoundness:
         for tag in ("dv", "tuba", "nwj", "infonce", "ba_lower"):
             settings = TrainSettings(steps=1500, batch_size=64, seed=0,
                                      hidden=(32, 32), embed=16, lr=1e-3)
-            _, parts = train_estimator(tag, task, settings, return_components=True)
+            _, objective = train_estimator(tag, task, settings, return_components=True)
             values = np.array([
-                _evaluate(tag, sample(task, 64, seed=2, stream=5000 + k), task, parts)
-                for k in range(500)
+                objective.value(sample(task, 64, seed=2, stream=5000 + k)) for k in range(500)
             ])
             se = float(values.std(ddof=1) / math.sqrt(values.size))
             assert values.mean() <= target + 3 * se, (tag, values.mean(), target)
@@ -481,29 +471,12 @@ class TestBoundSoundness:
         task = task_for_target_mi(5, 1.0)
         target = true_mi(task)
         for tag in ("ba_upper", "l1out"):
+            objective = make_objective(tag, task, TrainSettings(batch_size=64))
             values = np.array([
-                _evaluate(tag, sample(task, 64, seed=3, stream=8000 + k), task, {})
-                for k in range(500)
+                objective.value(sample(task, 64, seed=3, stream=8000 + k)) for k in range(500)
             ])
             se = float(values.std(ddof=1) / math.sqrt(values.size))
             assert values.mean() >= target - 3 * se, (tag, values.mean(), target)
-
-
-def _evaluate(tag, batch, task, parts):
-    if tag == "ba_upper":
-        return est_ba_upper(batch, lambda y, x: cond_log_density(task, y, x),
-                            lambda y: marginal_log_density(task, y))
-    if tag == "l1out":
-        return est_l1out(batch, lambda y, x: cond_log_density(task, y, x))
-    if tag == "ba_lower":
-        return est_ba_lower(batch, parts["decoder"], marginal_entropy(task))
-    if tag == "dv":
-        return est_dv(batch, parts["critic"])
-    if tag == "tuba":
-        return est_tuba(batch, parts["critic"], parts["baseline"])
-    if tag == "nwj":
-        return est_nwj(batch, parts["critic"])
-    return est_infonce(batch, parts["critic"])
 
 
 def _tables(n, rng):
@@ -580,7 +553,7 @@ def _kink_distance(objective, batch):
                                      np.tile(batch.ys, (n, 1))], axis=1)
             runs.append((objective.critic.nets[0], paired))
     if objective.baseline is not None:
-        runs.append((objective.baseline.net, batch.ys))
+        runs.append((objective.baseline, batch.ys))
     if objective.decoder is not None:
         runs.append((objective.decoder.net, batch.ys))
     return min(float(np.abs(z).min()) for net, x in runs for z in mlp_forward(net, x)[1][1][:-1])
