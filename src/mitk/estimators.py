@@ -12,12 +12,13 @@ would already be meaningless.
 
 Training runs through one `Objective` per estimator kind (`make_objective`),
 which owns the buffers of one run: the flat parameter and gradient
-vectors, and for the critic bounds one n x n workspace that each bound's
-value and gradient share (plus the separable critic's score table; the
-joint critic's is a view of its network's output). Nothing is kept at
-module level, so concurrent runs share no state. The `*_from_scores` and
-`est_*` functions are the plain, allocating forms of the same values for
-use outside a run; the objectives' values equal them bit for bit.
+vectors, and for the critic bounds one n x n workspace (plus the separable
+critic's score table; the joint critic's is a view of its network's
+output). Nothing is kept at module level, so concurrent runs share no
+state. Each critic bound is written once, as a value kernel and an upstream
+(score-gradient) kernel (`_dv`, `_tangent` for TUBA and NWJ, `_infonce`);
+an objective runs them in its workspace, the `*_from_scores` and `est_*`
+functions in a fresh one.
 """
 
 from __future__ import annotations
@@ -90,54 +91,116 @@ class EstimatorKind(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp(a: np.ndarray, axis=None):
-    """Max-shifted ln sum exp; tolerates -inf entries (masked-out cells)."""
-    peak = np.max(a, axis=axis, keepdims=True)
-    total = np.sum(np.exp(a - peak), axis=axis)
-    if axis is None:
-        return float(np.log(total) + peak.ravel()[0])
-    return np.log(total) + np.squeeze(peak, axis=axis)
+def _lse(src: np.ndarray, work: np.ndarray, axis=None):
+    """Max-shifted ln sum exp of `src` along `axis`, with e^(src - max) formed
+    in `work` (which may be `src`); tolerates -inf entries (masked-out cells)."""
+    peak = src.max(axis=axis, keepdims=True)
+    np.subtract(src, peak, out=work)
+    np.exp(work, out=work)
+    return np.log(work.sum(axis=axis)) + np.squeeze(peak, axis=axis)
 
 
-def _offdiag_col_logmeanexp(scores: np.ndarray) -> np.ndarray:
-    """Per column j: ln of the mean of e^(s_ij) over i != j."""
+def _offdiag_lse(src: np.ndarray, work: np.ndarray, axis=None):
+    """`_lse` of `src` with its diagonal left out, the masked copy in `work`."""
+    np.copyto(work, src)
+    np.fill_diagonal(work, -np.inf)
+    return _lse(work, work, axis)
+
+
+def _dv(scores, work):
+    """Diagonal mean minus ln of the global off-diagonal mean of e^(s);
+    the state is the off-diagonal log-sum-exp."""
     n = scores.shape[0]
-    masked = scores.copy()
-    np.fill_diagonal(masked, -np.inf)
-    return _logsumexp(masked, axis=0) - math.log(n - 1)
+    lse = float(_offdiag_lse(scores, work))
+    return float(scores.diagonal().mean() - (lse - math.log(n * (n - 1)))), lse
 
 
-def tuba_from_scores(scores: np.ndarray, log_a: np.ndarray) -> float:
+def _dv_upstream(scores, work, lse):
+    """1/n on the diagonal, -e^(s_ij - lse) off it."""
+    with np.errstate(over="ignore"):  # only the diagonal, overwritten below, can overflow
+        np.subtract(scores, lse, out=work)
+        np.exp(work, out=work)
+    np.negative(work, out=work)
+    np.fill_diagonal(work, 1.0 / scores.shape[0])
+    return work
+
+
+def _tangent(scores, work, log_a=1.0):
     """Diagonal mean minus the tangent-bounded log partition.
 
     The partition estimate for each y_j is the off-diagonal column mean of
     e^(s); the baseline enters through the inequality
-    ln z <= z/a + ln a - 1, tight at z = a.
+    ln z <= z/a + ln a - 1, tight at z = a. TUBA learns log a(y); NWJ pins
+    it at 1. The state is the ratio z_j / a_j.
     """
-    col_lme = _offdiag_col_logmeanexp(scores)
+    n = scores.shape[0]
+    col_lme = _offdiag_lse(scores, work, axis=0) - math.log(n - 1)
     with np.errstate(over="ignore"):  # overflow -> inf, caught by divergence checks
-        penalty = np.exp(col_lme - log_a) + log_a - 1.0
-    return float(scores.diagonal().mean() - penalty.mean())
+        ratio = np.exp(col_lme - log_a)
+        penalty = ratio + log_a - 1.0
+    return float(scores.diagonal().mean() - penalty.mean()), ratio
+
+
+def _tangent_upstream(scores, work, ratio, log_a=1.0):
+    """1/n on the diagonal, -e^(s_ij - log a_j) / (n (n - 1)) off it."""
+    n = scores.shape[0]
+    with np.errstate(over="ignore"):
+        np.subtract(scores, log_a, out=work)
+        np.exp(work, out=work)
+    np.divide(work, -(n * (n - 1)), out=work)
+    np.fill_diagonal(work, 1.0 / n)
+    return work
+
+
+def _infonce(scores, work):
+    """Mean over rows of s_ii - ln((1/K) sum_j e^(s_ij)), capped at ln K;
+    the state is the row log-sum-exps."""
+    n = scores.shape[0]
+    row_lse = _lse(scores, work, axis=1)
+    return float((scores.diagonal() - row_lse + math.log(n)).mean()), row_lse
+
+
+def _infonce_upstream(scores, work, row_lse):
+    """(I - row softmax) / n."""
+    n = scores.shape[0]
+    np.subtract(scores, row_lse[:, None], out=work)
+    np.exp(work, out=work)
+    diagonal = (1.0 - work.diagonal()) / n
+    np.divide(work, -n, out=work)
+    np.fill_diagonal(work, diagonal)
+    return work
+
+
+def _workspace_for(scores: np.ndarray, log_a: np.ndarray = None) -> np.ndarray:
+    """A fresh workspace for a public score table, after checking that the
+    table is n x n with n >= 2 and that `log_a`, if given, has shape (n,)."""
+    shape = np.shape(scores)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+        raise ValueError(f"a score table must be n x n with n >= 2, got shape {shape}")
+    if log_a is not None and np.shape(log_a) != shape[:1]:
+        raise ValueError(f"log_a must have shape {shape[:1]} for a score table of shape "
+                         f"{shape}, got shape {np.shape(log_a)}")
+    return np.empty(shape)
+
+
+def tuba_from_scores(scores: np.ndarray, log_a: np.ndarray) -> float:
+    """The tangent bound with a learned log-baseline log a(y_j) per column."""
+    return _tangent(scores, _workspace_for(scores, log_a), log_a)[0]
 
 
 def nwj_from_scores(scores: np.ndarray) -> float:
-    """Tangent bound with the baseline pinned at a = e (log a = 1)."""
-    return tuba_from_scores(scores, np.ones(scores.shape[0]))
+    """The tangent bound with the baseline pinned at a = e (log a = 1)."""
+    return _tangent(scores, _workspace_for(scores))[0]
 
 
 def dv_from_scores(scores: np.ndarray) -> float:
     """Diagonal mean minus ln of the global off-diagonal mean of e^(s)."""
-    n = scores.shape[0]
-    masked = scores.copy()
-    np.fill_diagonal(masked, -np.inf)
-    return float(scores.diagonal().mean() - (_logsumexp(masked) - math.log(n * (n - 1))))
+    return _dv(scores, _workspace_for(scores))[0]
 
 
 def infonce_from_scores(scores: np.ndarray) -> float:
     """Mean over rows of s_ii - ln((1/K) sum_j e^(s_ij)); capped at ln K."""
-    n = scores.shape[0]
-    row_lse = _logsumexp(scores, axis=1)
-    return float((scores.diagonal() - row_lse + math.log(n)).mean())
+    return _infonce(scores, _workspace_for(scores))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +232,8 @@ def est_l1out(batch: SampleBatch, cond_ld) -> float:
     if n < 2:
         raise ValueError("leave-one-out needs at least two samples")
     table = cond_ld(batch.ys[:, None, :], batch.xs[None, :, :])
-    diag = table.diagonal().copy()
-    np.fill_diagonal(table, -np.inf)
-    denom = _logsumexp(table, axis=1) - math.log(n - 1)
-    return float((diag - denom).mean())
+    denom = _offdiag_lse(table, np.empty_like(table), axis=1) - math.log(n - 1)
+    return float((table.diagonal() - denom).mean())
 
 
 def est_dv(batch: SampleBatch, critic: nets.CriticParams) -> float:
@@ -312,11 +373,12 @@ class _BaLower(Objective):
 class _CriticBound(Objective):
     """A bound on a critic's n x n score table.
 
-    Subclasses give `from_scores`, the bound's value on a table computed in
-    the workspace (bitwise equal to the matching `*_from_scores`), and
-    `upstream`, the value's gradient with respect to the scores, which
-    reuses what `from_scores` left behind and is written into the
-    workspace.
+    A subclass binds its bound's pair of kernels, `kernels = (value,
+    upstream)`. `from_scores` runs the value kernel in the workspace and
+    keeps its state; `upstream` turns that state into the value's gradient
+    with respect to the scores, written into the workspace. `_forward`
+    gives the score table and the bound's arguments beyond it: none, or
+    TUBA's log-baseline.
     """
 
     with_baseline = False
@@ -341,102 +403,41 @@ class _CriticBound(Objective):
         self.scores = np.empty((n, n)) if arch.form == "separable" else None
         self.work = np.empty((n, n))
 
-    def _scores(self, batch):
+    def _forward(self, batch):
         scores, self.cache = nets.score_matrix_with_cache(self.critic, batch, out=self.scores,
                                                           cache=self.cache)
-        return scores, self.cache
+        return scores, ()
+
+    def from_scores(self, scores: np.ndarray, *args) -> float:
+        value, self.state = self.kernels[0](scores, self.work, *args)
+        return value
+
+    def upstream(self, scores: np.ndarray, *args) -> np.ndarray:
+        return self.kernels[1](scores, self.work, self.state, *args)
 
     def value(self, batch):
-        scores, _ = self._scores(batch)
-        return self.from_scores(scores)
+        scores, args = self._forward(batch)
+        return self.from_scores(scores, *args)
 
     def value_and_grad(self, batch):
-        scores, cache = self._scores(batch)
-        value = self.from_scores(scores)
+        scores, args = self._forward(batch)
+        value = self.from_scores(scores, *args)
         if math.isfinite(value):
-            nets.backward_from_cache(self.critic, cache, self.upstream(scores),
+            nets.backward_from_cache(self.critic, self.cache, self.upstream(scores, *args),
                                      out=self.critic_grads)
         return value
 
 
 class _Dv(_CriticBound):
-    def from_scores(self, scores: np.ndarray) -> float:
-        n = scores.shape[0]
-        work = self.work
-        np.copyto(work, scores)
-        np.fill_diagonal(work, -np.inf)
-        peak = work.max()
-        np.subtract(work, peak, out=work)
-        np.exp(work, out=work)
-        self.lse = float(np.log(work.sum()) + peak)
-        return float(scores.diagonal().mean() - (self.lse - math.log(n * (n - 1))))
-
-    def upstream(self, scores: np.ndarray) -> np.ndarray:
-        """1/n on the diagonal, -e^(s_ij - lse) off it."""
-        work = self.work
-        with np.errstate(over="ignore"):  # only the diagonal, overwritten below, can overflow
-            np.subtract(scores, self.lse, out=work)
-            np.exp(work, out=work)
-        np.negative(work, out=work)
-        np.fill_diagonal(work, 1.0 / scores.shape[0])
-        return work
+    kernels = (_dv, _dv_upstream)
 
 
 class _InfoNce(_CriticBound):
-    def from_scores(self, scores: np.ndarray) -> float:
-        n = scores.shape[0]
-        work = self.work
-        peak = scores.max(axis=1, keepdims=True)
-        np.subtract(scores, peak, out=work)
-        np.exp(work, out=work)
-        self.row_lse = np.log(work.sum(axis=1)) + peak[:, 0]
-        return float((scores.diagonal() - self.row_lse + math.log(n)).mean())
-
-    def upstream(self, scores: np.ndarray) -> np.ndarray:
-        """(I - row softmax) / n."""
-        n = scores.shape[0]
-        work = self.work
-        np.subtract(scores, self.row_lse[:, None], out=work)
-        np.exp(work, out=work)
-        diagonal = (1.0 - work.diagonal()) / n
-        np.divide(work, -n, out=work)
-        np.fill_diagonal(work, diagonal)
-        return work
+    kernels = (_infonce, _infonce_upstream)
 
 
 class _Nwj(_CriticBound):
-    """The tangent bound with log a(y) = 1; TUBA below learns log a(y)."""
-
-    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
-        super().__init__(task, settings)
-        self.unit = np.ones(settings.batch_size)
-
-    def from_scores(self, scores: np.ndarray, log_a: np.ndarray = None) -> float:
-        log_a = self.unit if log_a is None else log_a
-        n = scores.shape[0]
-        work = self.work
-        np.copyto(work, scores)
-        np.fill_diagonal(work, -np.inf)
-        peak = work.max(axis=0, keepdims=True)
-        np.subtract(work, peak, out=work)
-        np.exp(work, out=work)
-        col_lme = np.log(work.sum(axis=0)) + peak[0] - math.log(n - 1)
-        with np.errstate(over="ignore"):  # overflow -> inf, caught by divergence checks
-            self.ratio = np.exp(col_lme - log_a)
-            penalty = self.ratio + log_a - 1.0
-        return float(scores.diagonal().mean() - penalty.mean())
-
-    def upstream(self, scores: np.ndarray, log_a: np.ndarray = None) -> np.ndarray:
-        """1/n on the diagonal, -e^(s_ij - log a_j) / (n (n - 1)) off it."""
-        log_a = self.unit if log_a is None else log_a
-        n = scores.shape[0]
-        work = self.work
-        with np.errstate(over="ignore"):
-            np.subtract(scores, log_a, out=work)
-            np.exp(work, out=work)
-        np.divide(work, -(n * (n - 1)), out=work)
-        np.fill_diagonal(work, 1.0 / n)
-        return work
+    kernels = (_tangent, _tangent_upstream)
 
 
 class _Tuba(_Nwj):
@@ -444,22 +445,15 @@ class _Tuba(_Nwj):
     cache_a = None  # the baseline network's, reused like `cache`
 
     def _forward(self, batch):
-        scores, cache = self._scores(batch)
+        scores, _ = super()._forward(batch)
         log_a, self.cache_a = nets.mlp_forward(self.baseline, batch.ys, out=self.cache_a)
-        return scores, cache, log_a[:, 0], self.cache_a
-
-    def value(self, batch):
-        scores, _, log_a, _ = self._forward(batch)
-        return self.from_scores(scores, log_a)
+        return scores, (log_a[:, 0],)
 
     def value_and_grad(self, batch):
-        scores, cache, log_a, cache_a = self._forward(batch)
-        value = self.from_scores(scores, log_a)
+        value = super().value_and_grad(batch)
         if math.isfinite(value):
-            nets.backward_from_cache(self.critic, cache, self.upstream(scores, log_a),
-                                     out=self.critic_grads)
-            dlog_a = (self.ratio - 1.0) / batch.n
-            nets.mlp_backward(self.baseline, cache_a, dlog_a[:, None],
+            # the state is the ratio z_j / a_j, and d value / d log a_j = (ratio_j - 1) / n
+            nets.mlp_backward(self.baseline, self.cache_a, ((self.state - 1.0) / batch.n)[:, None],
                               out=self.baseline_grads)
         return value
 

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import integrate
 
 from mitk.critic import (
@@ -30,7 +29,6 @@ from mitk.discrete import (
     random_joint2,
 )
 from mitk.estimators import (
-    EstimatorKind,
     TrainSettings,
     est_infonce,
     est_nwj,

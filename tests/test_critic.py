@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mitk.critic import (
-    AdamState,
     CriticArch,
     CriticParams,
     Mlp,

@@ -1,6 +1,7 @@
 """Estimator values, gradients, reductions, and the training loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,24 @@ class TestScoreReductions:
                 s.diagonal().mean()
                 - np.log(np.exp(s[~np.eye(64, dtype=bool)]).mean())
             ) - 1e-9
+
+
+class TestScoreTableChecks:
+    """The public reductions reject a table that is not n x n with n >= 2,
+    and a log-baseline that is not one entry per column, naming the shape."""
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 1), (0, 0), (4,), (2, 2, 2)])
+    def test_table_shape_is_checked(self, shape):
+        scores = np.zeros(shape)
+        for reduce in (dv_from_scores, nwj_from_scores, infonce_from_scores,
+                       lambda s: tuba_from_scores(s, np.zeros(shape[:1]))):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                reduce(scores)
+
+    @pytest.mark.parametrize("log_a", [np.zeros(1), np.zeros(3), np.zeros((4, 1)), 1.0])
+    def test_baseline_shape_is_checked(self, log_a):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(log_a)}")):
+            tuba_from_scores(np.zeros((4, 4)), log_a)
 
 
 @st.composite
@@ -322,26 +341,19 @@ class TestDecoder:
         batch = sample(task, 16, seed=11)
         decoder = init_decoder(2, (6,), seed=12)
         rng = np.random.default_rng(13)
-        from mitk.critic import param_arrays as _pa, with_param_arrays as _wpa
-
         # generic parameter point: zero biases can park preactivations on the kink
         decoder = DecoderParams(
-            _wpa(decoder.net,
-                 [a + rng.normal(scale=0.05, size=a.shape) for a in _pa(decoder.net)]),
+            nets.with_param_arrays(decoder.net, [a + rng.normal(scale=0.05, size=a.shape)
+                                                 for a in param_arrays(decoder.net)]),
             decoder.log_var + rng.normal(scale=0.05, size=2),
         )
         h_x = marginal_entropy(task)
 
-        from mitk.critic import param_arrays, with_param_arrays
-
         def objective(net_arrays, log_var):
-            d = DecoderParams(with_param_arrays(decoder.net, net_arrays), log_var)
+            d = DecoderParams(nets.with_param_arrays(decoder.net, net_arrays), log_var)
             return est_ba_lower(batch, d, h_x)
 
         # analytic gradients via the training path
-        from mitk.estimators import _gaussian_ll
-        import mitk.critic as nets
-
         mean, cache = nets.mlp_forward(decoder.net, batch.ys)
         resid = batch.xs - mean
         inv_var = np.exp(-decoder.log_var)
@@ -492,33 +504,103 @@ def _tables(n, rng):
     yield 1e3 + rng.normal(size=(n, n))
 
 
+# Reference reductions: plain allocating forms, written apart from the
+# kernels in mitk.estimators so that the pins below compare two codes.
+
+
+def _logsumexp(a: np.ndarray, axis=None):
+    """Max-shifted ln sum exp; tolerates -inf entries (masked-out cells)."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    total = np.sum(np.exp(a - peak), axis=axis)
+    if axis is None:
+        return float(np.log(total) + peak.ravel()[0])
+    return np.log(total) + np.squeeze(peak, axis=axis)
+
+
+def _offdiag_col_logmeanexp(scores: np.ndarray) -> np.ndarray:
+    """Per column j: ln of the mean of e^(s_ij) over i != j."""
+    n = scores.shape[0]
+    masked = scores.copy()
+    np.fill_diagonal(masked, -np.inf)
+    return _logsumexp(masked, axis=0) - math.log(n - 1)
+
+
+def ref_tuba(scores: np.ndarray, log_a: np.ndarray) -> float:
+    col_lme = _offdiag_col_logmeanexp(scores)
+    with np.errstate(over="ignore"):
+        penalty = np.exp(col_lme - log_a) + log_a - 1.0
+    return float(scores.diagonal().mean() - penalty.mean())
+
+
+def ref_nwj(scores: np.ndarray) -> float:
+    return ref_tuba(scores, np.ones(scores.shape[0]))
+
+
+def ref_dv(scores: np.ndarray) -> float:
+    n = scores.shape[0]
+    masked = scores.copy()
+    np.fill_diagonal(masked, -np.inf)
+    return float(scores.diagonal().mean() - (_logsumexp(masked) - math.log(n * (n - 1))))
+
+
+def ref_infonce(scores: np.ndarray) -> float:
+    n = scores.shape[0]
+    row_lse = _logsumexp(scores, axis=1)
+    return float((scores.diagonal() - row_lse + math.log(n)).mean())
+
+
+def ref_l1out(table: np.ndarray) -> float:
+    """Leave-one-out bound on a table of ln p(y_i | x_j)."""
+    n = table.shape[0]
+    masked = table.copy()
+    np.fill_diagonal(masked, -np.inf)
+    return float((table.diagonal() - (_logsumexp(masked, axis=1) - math.log(n - 1))).mean())
+
+
+REFERENCES = {"dv": ref_dv, "nwj": ref_nwj, "infonce": ref_infonce}
+
+
 class TestFusedObjectives:
-    """The training objectives against the reference reductions, bit for bit."""
+    """The bound kernels, run in an objective's workspace and in the public
+    functions' fresh one, against the reference reductions bit for bit."""
 
     N = 9
+    SIZES = (2, 9)
 
-    def objective(self, tag, form="separable"):
-        settings = TrainSettings(batch_size=self.N, hidden=(8,), embed=4, critic_form=form)
+    def objective(self, tag, form="separable", n=N):
+        settings = TrainSettings(batch_size=n, hidden=(8,), embed=4, critic_form=form)
         return make_objective(tag, GaussianTask(2, 0.5), settings)
 
-    @pytest.mark.parametrize("tag,reference", [
+    @pytest.mark.parametrize("tag,public", [
         ("dv", dv_from_scores), ("nwj", nwj_from_scores), ("infonce", infonce_from_scores)])
-    def test_value_on_tables_equals_reference(self, tag, reference):
+    def test_value_on_tables_equals_reference(self, tag, public):
         rng = np.random.default_rng(31)
-        objective = self.objective(tag)
         with np.errstate(over="ignore"):
-            for table in _tables(self.N, rng):
-                kept = table.copy()
-                assert objective.from_scores(table) == reference(table)
-                assert np.array_equal(table, kept)
+            for n in self.SIZES:
+                objective = self.objective(tag, n=n)
+                for table in _tables(n, rng):
+                    kept = table.copy()
+                    expected = REFERENCES[tag](table)
+                    assert objective.from_scores(table) == expected
+                    assert public(table) == expected
+                    assert np.array_equal(table, kept)
 
     def test_tuba_value_on_tables_equals_reference(self):
         rng = np.random.default_rng(32)
-        objective = self.objective("tuba")
-        for table in _tables(self.N, rng):
-            for log_a in (rng.normal(size=self.N), np.ones(self.N),
-                          rng.uniform(-1e3, 1e3, size=self.N)):
-                assert objective.from_scores(table, log_a) == tuba_from_scores(table, log_a)
+        for n in self.SIZES:
+            objective = self.objective("tuba", n=n)
+            for table in _tables(n, rng):
+                for log_a in (rng.normal(size=n), np.ones(n), rng.uniform(-1e3, 1e3, size=n)):
+                    expected = ref_tuba(table, log_a)
+                    assert objective.from_scores(table, log_a) == expected
+                    assert tuba_from_scores(table, log_a) == expected
+
+    def test_l1out_on_tables_equals_reference(self):
+        rng = np.random.default_rng(33)
+        for n in self.SIZES:
+            batch = sample(GaussianTask(2, 0.5), n, seed=0)
+            for table in _tables(n, rng):
+                assert est_l1out(batch, lambda y, x: table.copy()) == ref_l1out(table)
 
     @pytest.mark.parametrize("form", ["joint", "separable"])
     def test_value_on_batches_equals_estimator(self, form):

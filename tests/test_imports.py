@@ -1,0 +1,68 @@
+"""Import hygiene: every module of the package and of its tests uses what it imports."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# mitk/__init__.py imports only to re-export, so it is left out
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "mitk").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+)
+
+
+def _dotted(node):
+    """`a.b.c` for an attribute chain rooted at a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each name the source imports and never mentions.
+
+    `import a.b` counts as used when some expression reads `a.b` or an
+    attribute of it; `from __future__` imports are directives, not names.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    mentioned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = _dotted(node)
+            if name is not None:
+                # every prefix of `a.b.c` is read: `a`, `a.b` and `a.b.c`
+                parts = name.split(".")
+                mentioned.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
+    return sorted((line, name) for name, line in imported.items() if name not in mentioned)
+
+
+def test_scan_finds_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import a.b\n"
+        "import a.c\n"
+        "from x import y, z as w\n"
+        "print(y, a.b.f())\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (4, "a.c"), (5, "w")]
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in MODULES
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert not unused, "imported and never used:\n" + "\n".join(unused)
