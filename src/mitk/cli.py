@@ -238,8 +238,9 @@ class SummaryRow:
     """Across-seed aggregate for one estimator on one task.
 
     `violation` flags a bound pointing the wrong way by more than three
-    standard errors; with fewer than two seeds the error is taken from the
-    spread of the run's own trailing evaluations instead.
+    standard errors of the across-seed mean. A row with fewer than two
+    seeds has no standard error and gives no verdict: `violation` is None,
+    an empty field in summary.csv and `-` in the printed table.
     """
 
     estimator: str
@@ -247,7 +248,7 @@ class SummaryRow:
     mean_estimate: float
     bias: float
     std: float
-    violation: bool
+    violation: bool | None
 
 
 def _bench_one(config: dict, task: GaussianTask, out_dir: Path, tag: str, seed: int):
@@ -262,23 +263,22 @@ def _summarize(tag: str, task: GaussianTask, trajectories: list) -> SummaryRow:
     target = true_mi(task)
     finals = np.array([t.final_smoothed for t in trajectories])
     mean = float(finals.mean())
-    std = float(finals.std(ddof=1)) if len(finals) > 1 else float("nan")
-    if len(finals) > 1:
+    if len(finals) < 2:
+        std, violation = float("nan"), None
+    else:
+        std = float(finals.std(ddof=1))
         se = std / math.sqrt(len(finals))
-    else:
-        tail = np.array([r[1] for r in trajectories[0].records[-20:]])
-        se = float(tail.std(ddof=1) / math.sqrt(len(tail))) if len(tail) > 1 else 0.0
-    if EstimatorKind(tag).is_upper:
-        violation = mean < target - 3.0 * se
-    else:
-        violation = mean > target + 3.0 * se
+        if EstimatorKind(tag).is_upper:
+            violation = mean < target - 3.0 * se
+        else:
+            violation = mean > target + 3.0 * se
     return SummaryRow(
         estimator=tag,
         true_mi=target,
         mean_estimate=mean,
         bias=mean - target,
         std=std,
-        violation=bool(violation),
+        violation=violation,
     )
 
 
@@ -287,7 +287,8 @@ def _summary_csv_text(rows: list) -> str:
     for row in rows:
         lines.append(
             f"{row.estimator},{row.true_mi:.9g},{row.mean_estimate:.9g},"
-            f"{row.bias:.9g},{row.std:.9g},{int(row.violation)}"
+            f"{row.bias:.9g},{row.std:.9g},"
+            f"{'' if row.violation is None else int(row.violation)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -298,7 +299,8 @@ def _summary_table_text(rows: list) -> str:
     for row in rows:
         lines.append(
             f"{row.estimator:<10} {row.true_mi:>9.4f} {row.mean_estimate:>10.4f} "
-            f"{row.bias:>10.4f} {row.std:>10.4f} {int(row.violation):>5d}"
+            f"{row.bias:>10.4f} {row.std:>10.4f} "
+            f"{'-' if row.violation is None else int(row.violation):>5}"
         )
     return "\n".join(lines)
 
@@ -319,6 +321,9 @@ def _cmd_bench(args) -> int:
     seeds = tuple(master + i for i in range(int(config["seeds"])))
     if not tags or not seeds:
         raise ValueError("estimator and seed lists must be nonempty")
+    workers = int(config["workers"])
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
@@ -326,7 +331,7 @@ def _cmd_bench(args) -> int:
     runs = [(tag, seed) for tag in tags for seed in seeds]
     results: dict = {}
     failures = []
-    with ThreadPoolExecutor(max_workers=max(1, int(config["workers"]))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
             pool.submit(_bench_one, config, task, out_dir, tag, seed): (tag, seed)
             for tag, seed in runs

@@ -3,9 +3,12 @@
 All quantities are in nats. Sums are accumulated with compensated (exact)
 summation, so the classical identities hold to within a few ulp instead of
 accumulating O(cells) rounding error, and results are independent of
-traversal order. Probability tables are validated at construction and are
-never renormalized silently: a caller that wants a normalized table must
-normalize it first.
+traversal order. Each table (`Pmf`, `JointPmf2`, `JointPmf3`, `CondPmf`, and
+the array `mi_chain_rule_terms` takes) passes one validator at construction:
+its shape equals the alphabet lengths, it is nonempty, its entries are finite
+and nonnegative, each alphabet's labels are unique, and its mass (each row's
+for `CondPmf`) is 1 within MASS_ATOL. Nothing is renormalized silently: a
+caller that wants a normalized table must normalize it first.
 """
 
 from __future__ import annotations
@@ -62,29 +65,31 @@ def _clip_residue(value: float) -> float:
     return value
 
 
-def _frozen_array(values, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+def _validated(probs, alphabets: tuple, what: str, row_sums: bool = False) -> np.ndarray:
+    """Read-only float copy of `probs` after the checks in the module docstring.
+
+    `row_sums` checks the mass of each row (a conditional table) instead of the whole.
+    """
+    arr = np.array(probs, dtype=float)
+    shape = tuple(len(a) for a in alphabets)
+    if arr.shape != shape:
+        raise ValueError(f"{what} probs have shape {arr.shape}, alphabet lengths are {shape}")
     if arr.size == 0:
-        raise ValueError(f"{what} must be nonempty")
+        raise ValueError(f"{what} probs must be nonempty")
     if np.any(arr < 0):
-        raise ValueError(f"{what} entries must be nonnegative")
+        raise ValueError(f"{what} probs must be nonnegative")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} entries must be finite")
+        raise ValueError(f"{what} probs must be finite")
+    for labels in alphabets:
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"{what} labels must be unique, got {labels!r}")
+    for i, part in enumerate(arr if row_sums else (arr,)):
+        total = _exact_sum(part)
+        if abs(total - 1.0) > MASS_ATOL:
+            where = f" row {alphabets[0][i]!r}" if row_sums else ""
+            raise ValueError(f"{what} probs{where} must sum to 1 within {MASS_ATOL}, got {total!r}")
     arr.setflags(write=False)
     return arr
-
-
-def _check_mass(arr: np.ndarray, what: str) -> None:
-    total = _exact_sum(arr)
-    if abs(total - 1.0) > MASS_ATOL:
-        raise ValueError(f"{what} must sum to 1 within {MASS_ATOL}, got {total!r}")
-
-
-def _check_labels(labels: tuple, what: str) -> None:
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"{what} labels must be unique")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +101,7 @@ class Pmf:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        probs = _frozen_array(self.probs, 1, "Pmf probs")
-        if len(self.alphabet) != probs.shape[0]:
-            raise ValueError("alphabet and probs must have equal length")
-        _check_labels(self.alphabet, "Pmf")
-        _check_mass(probs, "Pmf probs")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _validated(self.probs, (self.alphabet,), "Pmf"))
 
     def __len__(self) -> int:
         return len(self.alphabet)
@@ -116,15 +116,10 @@ class JointPmf2:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_alphabet", tuple(self.row_alphabet))
-        object.__setattr__(self, "col_alphabet", tuple(self.col_alphabet))
-        probs = _frozen_array(self.probs, 2, "JointPmf2 probs")
-        if probs.shape != (len(self.row_alphabet), len(self.col_alphabet)):
-            raise ValueError("probs shape must match alphabet lengths")
-        _check_labels(self.row_alphabet, "JointPmf2 row")
-        _check_labels(self.col_alphabet, "JointPmf2 col")
-        _check_mass(probs, "JointPmf2 probs")
-        object.__setattr__(self, "probs", probs)
+        alphabets = (tuple(self.row_alphabet), tuple(self.col_alphabet))
+        object.__setattr__(self, "row_alphabet", alphabets[0])
+        object.__setattr__(self, "col_alphabet", alphabets[1])
+        object.__setattr__(self, "probs", _validated(self.probs, alphabets, "JointPmf2"))
 
     def marginal(self, axis: int) -> Pmf:
         """Marginal Pmf of the variable living on `axis` (0 = rows, 1 = cols)."""
@@ -149,13 +144,7 @@ class JointPmf3:
         if len(alphabets) != 3:
             raise ValueError("JointPmf3 needs exactly three alphabets")
         object.__setattr__(self, "alphabets", alphabets)
-        probs = _frozen_array(self.probs, 3, "JointPmf3 probs")
-        if probs.shape != tuple(len(a) for a in alphabets):
-            raise ValueError("probs shape must match alphabet lengths")
-        for a in alphabets:
-            _check_labels(a, "JointPmf3")
-        _check_mass(probs, "JointPmf3 probs")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _validated(self.probs, alphabets, "JointPmf3"))
 
     def pair_marginal(self, axis_a: int, axis_b: int) -> JointPmf2:
         """2-D marginal over the ordered axis pair (axis_a, axis_b)."""
@@ -177,19 +166,10 @@ class CondPmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "given_alphabet", tuple(self.given_alphabet))
-        object.__setattr__(self, "target_alphabet", tuple(self.target_alphabet))
-        probs = _frozen_array(self.probs, 2, "CondPmf probs")
-        if probs.shape != (len(self.given_alphabet), len(self.target_alphabet)):
-            raise ValueError("probs shape must match alphabet lengths")
-        _check_labels(self.given_alphabet, "CondPmf given")
-        _check_labels(self.target_alphabet, "CondPmf target")
-        for i in range(probs.shape[0]):
-            row_total = _exact_sum(probs[i])
-            if abs(row_total - 1.0) > MASS_ATOL:
-                raise ValueError(
-                    f"CondPmf row {self.given_alphabet[i]!r} sums to {row_total!r}, not 1"
-                )
+        alphabets = (tuple(self.given_alphabet), tuple(self.target_alphabet))
+        object.__setattr__(self, "given_alphabet", alphabets[0])
+        object.__setattr__(self, "target_alphabet", alphabets[1])
+        probs = _validated(self.probs, alphabets, "CondPmf", row_sums=True)
         object.__setattr__(self, "probs", probs)
 
 
@@ -379,17 +359,12 @@ def mi_chain_rule_terms(table: np.ndarray) -> list:
     Term i is I(X_i; Y | X_(i-1), ..., X_1); the terms sum to the total
     information between (X_1..X_n) jointly and Y. Limited to n <= 4.
     """
-    t = np.asarray(table, dtype=float)
+    t = _validated(table, tuple(range(k) for k in np.shape(table)), "mi_chain_rule_terms")
     n = t.ndim - 1
     if n < 1:
-        raise ValueError("table must have at least two axes (one X plus Y)")
+        raise ValueError("mi_chain_rule_terms table must have at least two axes (one X plus Y)")
     if n > 4:
-        raise ValueError(f"at most 4 conditioned variables supported, got {n}")
-    if np.any(t < 0):
-        raise ValueError("table entries must be nonnegative")
-    total = _exact_sum(t)
-    if abs(total - 1.0) > MASS_ATOL:
-        raise ValueError(f"table must sum to 1 within {MASS_ATOL}, got {total!r}")
+        raise ValueError(f"mi_chain_rule_terms supports at most 4 conditioned variables, got {n}")
 
     y_axis = n
     terms = []

@@ -26,6 +26,7 @@ from .discrete import (
     joint_entropy,
     joint_from_factors,
     kl_divergence,
+    mi_chain_rule_terms,
     mi_from_divergence,
     mi_from_entropies,
     mutual_information,
@@ -628,8 +629,6 @@ def _probe_mi_formulas(trials, seed, corrupt):
 
 
 def _probe_mi_chain(trials, seed, _corrupt):
-    from .discrete import mi_chain_rule_terms
-
     worst = _Worst()
     for t in range(trials):
         rng = _trial_rng(seed, 3, t)

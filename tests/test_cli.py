@@ -236,6 +236,10 @@ class TestBench:
         assert not (tmp_path / "flaky" / "nwj_2_1_1.csv").exists()
         summary = (tmp_path / "flaky" / "summary.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in summary[1:]] == ["ba_upper", "nwj"]
+        # one seed left gives no standard error, so the nwj row carries no verdict
+        assert summary[2].split(",")[4:] == ["nan", ""]
+        nwj_line = next(line for line in captured.out.splitlines() if line.startswith("nwj "))
+        assert nwj_line.split()[-1] == "-"
         # the runs that finished are summarized exactly as in a clean sweep
         clean_rows = (tmp_path / "clean" / "summary.csv").read_text().splitlines()
         assert summary[1] == clean_rows[1]
@@ -260,7 +264,9 @@ class TestBench:
 
     @pytest.mark.parametrize("bad", [["--batch-size", "1"], ["--eval-every", "0"],
                                      ["--set", "critic.form=dense"],
-                                     ["--set", "critic.embed=0"], ["--seeds", "0"]])
+                                     ["--set", "critic.embed=0"], ["--seeds", "0"],
+                                     ["--workers", "0"], ["--workers", "-2"],
+                                     ["--set", "workers=0"]])
     def test_bad_settings_are_an_input_error_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch, bad):
         def never(*args):

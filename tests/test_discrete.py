@@ -54,7 +54,80 @@ DIAGONAL = JointPmf2(("r0", "r1"), ("c0", "c1"), [[0.5, 0.0], [0.0, 0.5]])
 PRODUCT_COINS = JointPmf2(("r0", "r1"), ("c0", "c1"), [[0.25, 0.25], [0.25, 0.25]])
 
 
+def _bump(probs, *deltas):
+    """Copy of `probs` with `deltas` added to its first cells in flat order."""
+    out = np.array(probs, dtype=float)
+    out.flat[: len(deltas)] += deltas
+    return out
+
+
+def _last_row_short(probs):
+    out = np.array(probs, dtype=float)
+    out[-1] *= 0.9
+    return out
+
+
+def _alphabets(shape):
+    return tuple(tuple(f"s{axis}_{i}" for i in range(n)) for axis, n in enumerate(shape))
+
+
+def _table_text(alphabets, probs):
+    """The plain-text table format, written without building (and validating) a JointPmf2."""
+    lines = [" ".join(alphabets[1])]
+    for label, row in zip(alphabets[0], np.atleast_2d(probs)):
+        lines.append(label + " " + " ".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# every public way to make a table: (a valid table, build(probs, alphabets))
+CONSTRUCTORS = {
+    "Pmf": (np.full(4, 0.25), lambda p, a: Pmf(a[0], p)),
+    "JointPmf2": (np.full((2, 2), 0.25), lambda p, a: JointPmf2(a[0], a[1], p)),
+    "JointPmf3": (np.full((2, 2, 2), 0.125), lambda p, a: JointPmf3(a, p)),
+    "CondPmf": (np.full((2, 2), 0.5), lambda p, a: CondPmf(a[0], a[1], p)),
+    "parse_joint_table": (np.full((2, 2), 0.25),
+                          lambda p, a: parse_joint_table(_table_text(a, p))),
+    "mi_chain_rule_terms": (np.full((2, 2), 0.25), lambda p, a: mi_chain_rule_terms(p)),
+}
+
+# each bad-input class, made from a valid (probs, alphabets) pair
+BAD_INPUTS = {
+    "shape": lambda p, a: (p.reshape(2, -1) if p.ndim == 1 else p.ravel(), a),
+    "empty": lambda p, a: (np.zeros((0,) * p.ndim), ((),) * p.ndim),
+    # the mass stays 1 (each row's too), so only the sign check can refuse it
+    "negative": lambda p, a: (_bump(p, 0.75, -0.75), a),
+    "nan": lambda p, a: (_bump(p, math.nan), a),
+    "inf": lambda p, a: (_bump(p, math.inf), a),
+    "duplicate-labels": lambda p, a: (p, ((a[0][0],) * len(a[0]),) + a[1:]),
+    "mass-off-1e-11": lambda p, a: (_bump(p, 1e-11), a),
+    # for CondPmf the first row stays a distribution and only the last is off
+    "last-row-short": lambda p, a: (_last_row_short(p), a),
+}
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("name,bad", [
+        (name, bad) for name in CONSTRUCTORS for bad in BAD_INPUTS
+        # the chain rule takes a bare array, so it has no labels to repeat
+        if (name, bad) != ("mi_chain_rule_terms", "duplicate-labels")
+    ])
+    def test_rejects_bad_input(self, name, bad):
+        base, build = CONSTRUCTORS[name]
+        probs, alphabets = BAD_INPUTS[bad](base, _alphabets(base.shape))
+        with pytest.raises(ValueError):
+            build(probs, alphabets)
+
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_mass_within_tolerance_is_kept_as_given(self, name):
+        base, build = CONSTRUCTORS[name]
+        probs = _bump(base, 1e-13)
+        made = build(probs, _alphabets(base.shape))
+        if name == "mi_chain_rule_terms":
+            assert all(math.isfinite(term) for term in made)
+        else:
+            # accepted and not renormalized: the very bytes that were given
+            assert made.probs.tobytes() == probs.tobytes()
+
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             Pmf(("a", "b"), [1.2, -0.2])

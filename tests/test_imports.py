@@ -1,4 +1,5 @@
-"""Import hygiene: every module of the package and of its tests uses what it imports."""
+"""Import hygiene: every module of the package and of its tests uses what it imports,
+and the package imports only at module level."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ MODULES = sorted(
     [p for p in (ROOT / "src" / "mitk").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
 )
+# the tests may import inside a function; the package may not
+PACKAGE = sorted((ROOT / "src" / "mitk").glob("*.py"))
 
 
 def _dotted(node):
@@ -66,3 +69,38 @@ def test_every_import_is_used():
         for line, name in unused_imports(path.read_text())
     ]
     assert not unused, "imported and never used:\n" + "\n".join(unused)
+
+
+def local_imports(source: str) -> list:
+    """Line of each import statement inside a function body, nested ones included."""
+    return sorted({
+        node.lineno
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_scan_finds_local_imports():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    import json\n"
+        "    def g():\n"
+        "        from x import y\n"
+        "    return os, json, g\n"
+        "class C:\n"
+        "    async def h(self):\n"
+        "        import re\n"
+    )
+    assert local_imports(source) == [3, 5, 9]
+
+
+def test_package_imports_only_at_module_level():
+    local = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE
+        for line in local_imports(path.read_text())
+    ]
+    assert not local, "imported inside a function:\n" + "\n".join(local)
