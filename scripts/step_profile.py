@@ -30,7 +30,7 @@ from mitk.estimators import TrainSettings, train_estimator  # noqa: E402
 from mitk.gaussian import task_for_target_mi  # noqa: E402
 
 ESTIMATORS = ("ba_lower", "dv", "tuba", "nwj", "infonce")
-# measured steps per estimator; a joint-critic step costs about 30 separable ones
+# measured steps per estimator; a joint-critic step costs about 25 separable ones
 MEASURED_STEPS = {"separable": 200, "joint": 4}
 
 

@@ -94,13 +94,14 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, out=None):
     return preacts[-1], (inputs, preacts)
 
 
-def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, out=None):
+def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, out=None, dinput=None):
     """Gradients of sum(dout * output) with respect to every weight and bias.
 
     With `out`, arrays in param_arrays order, each gradient is written into
     its array instead of a new one, and the signal passed down between
     layers is formed in the cache's hidden-layer arrays, which are used up:
-    after such a call only the cache's output may be read again.
+    after such a call only the cache's output may be read again. `dinput`,
+    an array shaped like the input, receives the input's gradient if given.
     """
     inputs, preacts = cache
     grads_w = [None] * len(mlp.weights)
@@ -114,6 +115,8 @@ def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, out=None):
             dh = np.matmul(dz, mlp.weights[i].T, out=None if out is None else inputs[i])
             dz = np.multiply(dh, preacts[i - 1] > 0.0,
                              out=None if out is None else preacts[i - 1])
+        elif dinput is not None:
+            np.matmul(dz, mlp.weights[0].T, out=dinput)
     return grads_w, grads_b
 
 
@@ -126,9 +129,10 @@ def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, out=None):
 class CriticArch:
     """Architecture descriptor for the score function g(x, y).
 
-    `joint` concatenates (x, y) into one scalar-output network; `separable`
-    runs two towers to an embedding of width `embed` and scores by inner
-    product, so an n x n score table costs 2n forward passes instead of n^2.
+    `joint` scores the concatenation [x, y] with one scalar-output network,
+    n^2 rows per n x n table (that input is never built, see
+    score_matrix_with_cache); `separable` runs two towers to an embedding of
+    width `embed` and scores by inner product, so the table costs 2n passes.
     """
 
     x_dim: int
@@ -177,6 +181,11 @@ def score_matrix(params: CriticParams, batch) -> np.ndarray:
 def score_matrix_with_cache(params: CriticParams, batch, out=None, cache=None):
     """score_matrix plus the forward cache needed to backpropagate through it.
 
+    The joint network's layer 0 splits, [x, y] W + b = x W_x + (y W_y + b),
+    so its n^2 x h preactivation is one broadcast add of two n-row products
+    and the concatenated rows are never built. The joint cache has
+    mlp_forward's layout with the pair (xs, ys) as its first input.
+
     With `out`, an n x n array, the separable table is written there; the
     joint table is always a view of the forward cache's output, so `out`
     is not used. With `cache`, one returned by an earlier call at the same
@@ -191,13 +200,24 @@ def score_matrix_with_cache(params: CriticParams, batch, out=None, cache=None):
         hy, cache_y = mlp_forward(y_tower, ys, out=cache_y)
         return np.matmul(hx, hy.T, out=out), (hx, cache_x, hy, cache_y)
     (net,) = params.nets
-    paired = np.concatenate([np.repeat(xs, n, axis=0), np.tile(ys, (n, 1))], axis=1)
-    scores, cache = mlp_forward(net, paired, out=cache)
-    return scores.reshape(n, n), cache
+    w, dx = net.weights[0], xs.shape[1]
+    z = np.empty((n * n, w.shape[1])) if cache is None else cache[1][0]
+    np.add((xs @ w[:dx])[:, None], ys @ w[dx:] + net.biases[0], out=z.reshape(n, n, -1))
+    upper = ([], [])
+    if len(net.weights) > 1:
+        h = np.maximum(z, 0.0, out=None if cache is None else cache[0][1])
+        _, upper = mlp_forward(Mlp(net.weights[1:], net.biases[1:]), h,
+                               out=None if cache is None else (cache[0][1:], cache[1][1:]))
+    inputs, preacts = [(xs, ys)] + upper[0], [z] + upper[1]
+    return preacts[-1].reshape(n, n), (inputs, preacts)
 
 
 def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=None):
     """Gradients of sum(upstream * scores) given a forward cache, in param_arrays order.
+
+    For the joint network, mlp_backward runs the layers above layer 0 and
+    carries the signal down to layer 0's n x n x h preactivation gradient dz;
+    layer 0's weight gradient is then [xs.T @ dz.sum(1); ys.T @ dz.sum(0)].
 
     With `out`, arrays in param_arrays order, the gradients are written
     there and the cache is used up (see mlp_backward).
@@ -211,9 +231,21 @@ def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=N
         dw_y, db_y = mlp_backward(y_tower, cache_y, upstream.T @ hx, out=out_y)
         return _interleave(dw_x, db_x) + _interleave(dw_y, db_y)
     (net,) = params.nets
-    n = upstream.shape[0]
-    dw, db = mlp_backward(net, cache, upstream.reshape(n * n, 1), out=out)
-    return _interleave(dw, db)
+    inputs, preacts = cache
+    (xs, ys), (n, dx) = inputs[0], inputs[0][0].shape
+    dz, upper = upstream.reshape(n * n, 1), []
+    if len(net.weights) > 1:
+        dh = np.empty_like(inputs[1]) if out is None else inputs[1]
+        dw, db = mlp_backward(Mlp(net.weights[1:], net.biases[1:]), (inputs[1:], preacts[1:]),
+                              dz, out=None if out is None else out[2:], dinput=dh)
+        upper = _interleave(dw, db)
+        dz = np.multiply(dh, preacts[0] > 0.0, out=None if out is None else preacts[0])
+    dz = dz.reshape(n, n, -1)
+    dz_x = dz.sum(axis=1)
+    dw0 = np.empty(net.weights[0].shape) if out is None else out[0]
+    np.matmul(xs.T, dz_x, out=dw0[:dx])
+    np.matmul(ys.T, dz.sum(axis=0), out=dw0[dx:])
+    return [dw0, np.sum(dz_x, axis=0, out=None if out is None else out[1])] + upper
 
 
 def _interleave(ws, bs):

@@ -5,10 +5,11 @@ summation, so the classical identities hold to within a few ulp instead of
 accumulating O(cells) rounding error, and results are independent of
 traversal order. Each table (`Pmf`, `JointPmf2`, `JointPmf3`, `CondPmf`, and
 the array `mi_chain_rule_terms` takes) passes one validator at construction:
-its shape equals the alphabet lengths, it is nonempty, its entries are finite
-and nonnegative, each alphabet's labels are unique, and its mass (each row's
-for `CondPmf`) is 1 within MASS_ATOL. Nothing is renormalized silently: a
-caller that wants a normalized table must normalize it first.
+its entries form a rectangular array of finite, nonnegative numbers shaped
+like the alphabet lengths, it is nonempty, each alphabet's labels are hashable
+and unique, and its mass (each row's for `CondPmf`) is 1 within MASS_ATOL; a
+failure is a ValueError that names the table. Nothing is renormalized
+silently: a caller that wants a normalized table must normalize it first.
 """
 
 from __future__ import annotations
@@ -65,12 +66,18 @@ def _clip_residue(value: float) -> float:
     return value
 
 
-def _validated(probs, alphabets: tuple, what: str, row_sums: bool = False) -> np.ndarray:
+def _validated(probs, alphabets: tuple | None, what: str, row_sums: bool = False) -> np.ndarray:
     """Read-only float copy of `probs` after the checks in the module docstring.
 
-    `row_sums` checks the mass of each row (a conditional table) instead of the whole.
+    `alphabets=None` labels each axis by index, for a bare table. `row_sums`
+    checks the mass of each row (a conditional table) instead of the whole.
     """
-    arr = np.array(probs, dtype=float)
+    try:  # ragged nesting, a non-number or an unhashable label
+        arr = np.array(probs, dtype=float)
+        alphabets = tuple(range(k) for k in arr.shape) if alphabets is None else alphabets
+        distinct = [len(set(labels)) for labels in alphabets]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} needs rectangular numeric probs, hashable labels: {exc}") from None
     shape = tuple(len(a) for a in alphabets)
     if arr.shape != shape:
         raise ValueError(f"{what} probs have shape {arr.shape}, alphabet lengths are {shape}")
@@ -80,8 +87,8 @@ def _validated(probs, alphabets: tuple, what: str, row_sums: bool = False) -> np
         raise ValueError(f"{what} probs must be nonnegative")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} probs must be finite")
-    for labels in alphabets:
-        if len(set(labels)) != len(labels):
+    for labels, count in zip(alphabets, distinct):
+        if count != len(labels):
             raise ValueError(f"{what} labels must be unique, got {labels!r}")
     for i, part in enumerate(arr if row_sums else (arr,)):
         total = _exact_sum(part)
@@ -359,7 +366,7 @@ def mi_chain_rule_terms(table: np.ndarray) -> list:
     Term i is I(X_i; Y | X_(i-1), ..., X_1); the terms sum to the total
     information between (X_1..X_n) jointly and Y. Limited to n <= 4.
     """
-    t = _validated(table, tuple(range(k) for k in np.shape(table)), "mi_chain_rule_terms")
+    t = _validated(table, None, "mi_chain_rule_terms")
     n = t.ndim - 1
     if n < 1:
         raise ValueError("mi_chain_rule_terms table must have at least two axes (one X plus Y)")

@@ -1,6 +1,8 @@
 """Score networks: initialization, forward passes, exact gradients, Adam."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from mitk.critic import (
     score_matrix_with_cache,
     with_param_arrays,
 )
-from mitk.gaussian import GaussianTask, sample
+from mitk.estimators import TrainSettings, make_objective
+from mitk.gaussian import GaussianTask, sample, task_for_target_mi
 
 
 def small_batch(n=8, dim=3, seed=0):
@@ -139,7 +142,9 @@ class TestScoreMatrix:
         assert cache_x[0][0].shape[0] + cache_y[0][0].shape[0] == 2 * n
         joint = init_critic(CriticArch(3, 3, form="joint", hidden=(8,)), seed=0)
         _, (inputs, _) = score_matrix_with_cache(joint, batch)
-        assert inputs[0].shape[0] == n * n
+        # the first joint input is the (xs, ys) pair; the hidden layers take n^2 rows
+        assert inputs[0][0] is batch.xs and inputs[0][1] is batch.ys
+        assert inputs[1].shape[0] == n * n
 
 
 class TestBackward:
@@ -196,6 +201,63 @@ class TestBackward:
                 scale = max(abs(numeric), abs(analytic), 1e-8)
                 worst = max(worst, abs(numeric - analytic) / scale)
         assert worst < 1e-5
+
+
+def concat_scores_and_grads(net: Mlp, xs, ys, upstream):
+    """The joint critic on its concatenated input: every pair's [x_i, y_j] row
+    built and pushed through the whole network, then backpropagated."""
+    n = xs.shape[0]
+    paired = np.concatenate([np.repeat(xs, n, axis=0), np.tile(ys, (n, 1))], axis=1)
+    scores, cache = mlp_forward(net, paired)
+    dw, db = mlp_backward(net, cache, upstream.reshape(n * n, 1))
+    return scores.reshape(n, n), [a for pair in zip(dw, db) for a in pair]
+
+
+def nudged(params, seed):
+    """`params` moved off the zero-bias init by a small random step."""
+    rng = np.random.default_rng(seed)
+    return with_param_arrays(
+        params, [a + rng.normal(scale=0.1, size=a.shape) for a in param_arrays(params)])
+
+
+def relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestJointFactoredLayer:
+    """The joint forward and backward never build the n^2 concatenated rows;
+    they must agree with the network run on them."""
+
+    CASES = {
+        "benchmark": (CriticArch(20, 20, form="joint", hidden=(64, 64)), 128),
+        "x_dim_differs": (CriticArch(3, 5, form="joint", hidden=(5, 7)), 9),
+        "one_layer": (CriticArch(4, 2, form="joint", hidden=()), 6),
+        "n_2": (CriticArch(3, 3, form="joint", hidden=(6, 5)), 2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_concatenated_network(self, case):
+        arch, n = self.CASES[case]
+        params = nudged(init_critic(arch, seed=5), seed=6)
+        rng = np.random.default_rng(7)
+        xs, ys = rng.normal(size=(n, arch.x_dim)), rng.normal(size=(n, arch.y_dim))
+        upstream = rng.normal(size=(n, n))
+        want_scores, want_grads = concat_scores_and_grads(params.nets[0], xs, ys, upstream)
+        scores, cache = score_matrix_with_cache(params, SimpleNamespace(xs=xs, ys=ys))
+        assert relative_gap(scores, want_scores) < 1e-12
+        grads = backward_from_cache(params, cache, upstream)
+        assert [g.shape for g in grads] == [g.shape for g in want_grads]
+        for got, want in zip(grads, want_grads):
+            assert relative_gap(got, want) < 1e-12
+
+    @pytest.mark.parametrize("widths", [(3, 3), (9, 3), (3, 9)])
+    def test_widths_that_miss_the_input_are_rejected(self, widths):
+        params = init_critic(CriticArch(3, 5, form="joint", hidden=(4,)), seed=1)
+        rng = np.random.default_rng(2)
+        batch = SimpleNamespace(xs=rng.normal(size=(4, widths[0])),
+                                ys=rng.normal(size=(4, widths[1])))
+        with pytest.raises(ValueError):
+            score_matrix_with_cache(params, batch)
 
 
 class TestAdam:
@@ -312,6 +374,22 @@ class TestBuffers:
             backward_from_cache(params, cache, upstream, out=grads)
             assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
             assert np.array_equal(got, want)  # backward leaves the table readable
+
+    @pytest.mark.parametrize("kind", ["dv", "tuba", "nwj", "infonce"])
+    def test_joint_step_allocates_less_than_the_paired_input(self, kind):
+        # the concatenated [x_i, y_j] rows alone would take n^2 * 2d float64s
+        d, n = 20, 128
+        task = task_for_target_mi(d, 2.0)
+        objective = make_objective(kind, task, TrainSettings(batch_size=n, critic_form="joint"))
+        batch = sample(task, n, seed=0, stream=2)
+        objective.value_and_grad(batch)  # the first step makes the run's buffers
+        tracemalloc.start()
+        try:
+            objective.value_and_grad(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 2 * d * 8
 
     def test_forward_reuses_the_cache_it_is_given(self):
         net = init_mlp((3, 5, 4, 2), np.random.default_rng(0))

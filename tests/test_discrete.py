@@ -102,19 +102,29 @@ BAD_INPUTS = {
     "mass-off-1e-11": lambda p, a: (_bump(p, 1e-11), a),
     # for CondPmf the first row stays a distribution and only the last is off
     "last-row-short": lambda p, a: (_last_row_short(p), a),
+    "unhashable-labels": lambda p, a: (p, (tuple([label] for label in a[0]),) + a[1:]),
+    "ragged": lambda p, a: ([p.ravel()[:1].tolist(), p.ravel()[1:].tolist()], a),
+}
+# bad inputs a constructor cannot be given: the chain rule takes a bare array,
+# so it has no labels, and table text has only string labels and flat rows
+NOT_EXPRESSIBLE = {
+    ("mi_chain_rule_terms", "duplicate-labels"),
+    ("mi_chain_rule_terms", "unhashable-labels"),
+    ("parse_joint_table", "unhashable-labels"),
+    ("parse_joint_table", "ragged"),
 }
 
 
 class TestConstruction:
     @pytest.mark.parametrize("name,bad", [
         (name, bad) for name in CONSTRUCTORS for bad in BAD_INPUTS
-        # the chain rule takes a bare array, so it has no labels to repeat
-        if (name, bad) != ("mi_chain_rule_terms", "duplicate-labels")
+        if (name, bad) not in NOT_EXPRESSIBLE
     ])
     def test_rejects_bad_input(self, name, bad):
         base, build = CONSTRUCTORS[name]
         probs, alphabets = BAD_INPUTS[bad](base, _alphabets(base.shape))
-        with pytest.raises(ValueError):
+        # the error names the table; the text parser's own errors name a row of the text
+        with pytest.raises(ValueError, match=None if name == "parse_joint_table" else name):
             build(probs, alphabets)
 
     @pytest.mark.parametrize("name", CONSTRUCTORS)
