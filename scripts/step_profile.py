@@ -5,7 +5,8 @@ training step, the minor page faults per step and the kernel's share of
 the step's CPU time, all read with `time` and `resource` on this process
 alone. Time and faults per step are the difference between two calls that
 differ only in their step count, taken after a warm-up call, so
-initialization and the single evaluation cancel out. Configuration: d=20,
+initialization and the single evaluation cancel out; each column is the
+median over three such short/long pairs. Configuration: d=20,
 2 nats, batch 128, 64-64 towers, embed 32; BLAS pinned to one thread
 unless the environment already sets it.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import os
 import resource
+import statistics
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -30,8 +32,10 @@ from mitk.estimators import TrainSettings, train_estimator  # noqa: E402
 from mitk.gaussian import task_for_target_mi  # noqa: E402
 
 ESTIMATORS = ("ba_lower", "dv", "tuba", "nwj", "infonce")
-# measured steps per estimator; a joint-critic step costs about 25 separable ones
-MEASURED_STEPS = {"separable": 200, "joint": 4}
+# measured steps per estimator; a joint-critic step costs about 25 separable ones,
+# and with fewer joint steps noise can flip the sign of a difference of two calls
+MEASURED_STEPS = {"separable": 200, "joint": 24}
+PAIRS = 3
 
 
 def _usage():
@@ -49,18 +53,22 @@ def _run(tag, task, form, steps, total):
 
 
 def profile(tag, task, form, base, extra):
-    """(ms/step, minor faults/step, system share of CPU time) over `extra` steps.
+    """(ms/step, minor faults/step, system share of CPU time) over `extra`
+    steps, each the median over PAIRS short/long pairs.
 
     The system share is taken over the whole longer call: CPU times tick
     too coarsely for a difference of two calls.
     """
     total = base + extra
     _run(tag, task, form, base, total)  # warm-up
-    short = _run(tag, task, form, base, total)
-    long = _run(tag, task, form, total, total)
-    wall, faults = (b - a for a, b in zip(short[:2], long[:2]))
-    user, system = long[2:]
-    return wall / extra * 1e3, faults / extra, system / (user + system)
+    rows = []
+    for _ in range(PAIRS):
+        short = _run(tag, task, form, base, total)
+        long = _run(tag, task, form, total, total)
+        wall, faults = (b - a for a, b in zip(short[:2], long[:2]))
+        user, system = long[2:]
+        rows.append((wall / extra * 1e3, faults / extra, system / (user + system)))
+    return tuple(statistics.median(column) for column in zip(*rows))
 
 
 def main() -> int:

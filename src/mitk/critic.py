@@ -178,27 +178,28 @@ def score_matrix(params: CriticParams, batch) -> np.ndarray:
     return scores
 
 
-def score_matrix_with_cache(params: CriticParams, batch, out=None, cache=None):
+def score_matrix_with_cache(params: CriticParams, batch, cache=None):
     """score_matrix plus the forward cache needed to backpropagate through it.
 
     The joint network's layer 0 splits, [x, y] W + b = x W_x + (y W_y + b),
     so its n^2 x h preactivation is one broadcast add of two n-row products
     and the concatenated rows are never built. The joint cache has
-    mlp_forward's layout with the pair (xs, ys) as its first input.
+    mlp_forward's layout with the pair (xs, ys) as its first input; the
+    separable cache is (hx, x tower cache, hy, y tower cache, table).
 
-    With `out`, an n x n array, the separable table is written there; the
-    joint table is always a view of the forward cache's output, so `out`
-    is not used. With `cache`, one returned by an earlier call at the same
-    batch size, the forward pass writes into its arrays (see mlp_forward).
+    Either form's table lives in its forward cache. With `cache`, one
+    returned by an earlier call at the same batch size, the forward pass
+    writes into its arrays (see mlp_forward), the table included.
     """
     xs, ys = batch.xs, batch.ys
     n = xs.shape[0]
     if params.form == "separable":
         x_tower, y_tower = params.nets
-        cache_x, cache_y = (None, None) if cache is None else (cache[1], cache[3])
+        _, cache_x, _, cache_y, table = (None,) * 5 if cache is None else cache
         hx, cache_x = mlp_forward(x_tower, xs, out=cache_x)
         hy, cache_y = mlp_forward(y_tower, ys, out=cache_y)
-        return np.matmul(hx, hy.T, out=out), (hx, cache_x, hy, cache_y)
+        table = np.matmul(hx, hy.T, out=table)
+        return table, (hx, cache_x, hy, cache_y, table)
     (net,) = params.nets
     w, dx = net.weights[0], xs.shape[1]
     z = np.empty((n * n, w.shape[1])) if cache is None else cache[1][0]
@@ -224,7 +225,7 @@ def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=N
     """
     if params.form == "separable":
         x_tower, y_tower = params.nets
-        hx, cache_x, hy, cache_y = cache
+        hx, cache_x, hy, cache_y, _ = cache
         k = 2 * len(x_tower.weights)
         out_x, out_y = (None, None) if out is None else (out[:k], out[k:])
         dw_x, db_x = mlp_backward(x_tower, cache_x, upstream @ hy, out=out_x)

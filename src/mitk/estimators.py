@@ -298,11 +298,11 @@ class Objective:
     kinds have `params = grad = None` and only a `value`.
 
     The critic bounds also own one n x n workspace, where n is the batch
-    size, and the separable ones an n x n score table: the value's
-    reductions run in the workspace, and the gradient with respect to the
-    scores is formed there afterwards, so a step allocates no n x n array.
-    Each network's forward arrays are kept from the first step and written
-    over by later ones.
+    size: the value's reductions run in the workspace, and the gradient
+    with respect to the scores is formed there afterwards, so a step
+    allocates no n x n array. Each network's forward arrays, the critic's
+    score table included, are kept from the first step and written over by
+    later ones.
     """
 
     params = grad = None
@@ -399,13 +399,10 @@ class _CriticBound(Objective):
             self.baseline = nets.with_param_arrays(baseline, views[k:])
             self.baseline_grads = grads[k:]
         n = settings.batch_size
-        # the joint table is a view of the critic's forward cache
-        self.scores = np.empty((n, n)) if arch.form == "separable" else None
         self.work = np.empty((n, n))
 
     def _forward(self, batch):
-        scores, self.cache = nets.score_matrix_with_cache(self.critic, batch, out=self.scores,
-                                                          cache=self.cache)
+        scores, self.cache = nets.score_matrix_with_cache(self.critic, batch, cache=self.cache)
         return scores, ()
 
     def from_scores(self, scores: np.ndarray, *args) -> float:

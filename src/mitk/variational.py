@@ -20,6 +20,7 @@ from .discrete import (
     JointPmf2,
     JointPmf3,
     Pmf,
+    _clip_residue,
     _exact_sum,
     conditional_mutual_information,
     entropy,
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 ALPHA_GRID = tuple(i / 10.0 for i in range(11))
+DV_STEPS = 2000
+DV_LR = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +302,13 @@ def dv_value(p: Pmf, q: Pmf, g) -> float:
     return float(p.probs @ g - _logsumexp(g + log_q))
 
 
-def dv_supremum(p: Pmf, q: Pmf, steps: int = 2000, lr: float = 0.5) -> tuple:
+def dv_supremum(p: Pmf, q: Pmf) -> tuple:
     """Maximize the Donsker-Varadhan objective by full-batch gradient ascent.
 
-    Defaults (step size 0.5, 2000 steps, stop when the value moves less
-    than 1e-12 across 10 steps) recover D(p || q) to ~1e-6 on alphabets up
-    to 16 when neither distribution has vanishing mass. Requires full
-    support of both p and q.
+    Step size 0.5 (DV_LR), at most 2000 steps (DV_STEPS), stopping when the
+    value moves less than 1e-12 across 10 steps: this recovers D(p || q)
+    to ~1e-6 on alphabets up to 16 when neither distribution has vanishing
+    mass. Requires full support of both p and q.
 
     Returns (optimal score vector, attained value).
     """
@@ -317,13 +320,13 @@ def dv_supremum(p: Pmf, q: Pmf, steps: int = 2000, lr: float = 0.5) -> tuple:
     log_q = np.log(q.probs)
     g = np.zeros(len(p))
     history = []
-    for _ in range(steps):
+    for _ in range(DV_STEPS):
         shifted = g + log_q
         peak = shifted.max()
         weights = np.exp(shifted - peak)
         total = weights.sum()
         value = float(pv @ g - (peak + math.log(total)))
-        g = g + lr * (pv - weights / total)
+        g = g + DV_LR * (pv - weights / total)
         history.append(value)
         if len(history) > 10 and abs(history[-1] - history[-11]) < 1e-12:
             break
@@ -335,51 +338,60 @@ def dv_supremum(p: Pmf, q: Pmf, steps: int = 2000, lr: float = 0.5) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _restricted_growth_strings(n: int, max_blocks: int):
-    """All canonical set-partition encodings of n items into <= max_blocks blocks."""
-    a = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            yield tuple(a)
-            return
-        for b in range(min(used + 1, max_blocks)):
-            a[i] = b
-            yield from rec(i + 1, used if b < used else used + 1)
-
-    yield from rec(1, 1) if n > 1 else iter([(0,)])
-
-
 @functools.lru_cache(maxsize=None)
 def _rgs_table(n: int) -> tuple:
-    """(strings, block counts): every partition of n items, one int8 row each, in
-    enumeration order; filtering to rows with <= k blocks gives the order for k."""
-    table = np.array(list(_restricted_growth_strings(n, n)), dtype=np.int8)
+    """(strings, block counts): every partition of n items as its canonical
+    restricted growth string, one int8 row each, in lexicographic order;
+    filtering to rows with <= k blocks gives the order for k."""
+    rows = [(0,)]
+    for _ in range(1, n):
+        rows = [r + (b,) for r in rows for b in range(max(r) + 2)]
+    table = np.array(rows, dtype=np.int8)
     counts = table.max(axis=1) + 1
     table.setflags(write=False)
     counts.setflags(write=False)
     return table, counts
 
 
+def _block_masses(probs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """masses[r, ..., b]: the mass of block b under row r of `table` (one block
+    index per symbol), summed over the symbols on axis 0 of `probs` in symbol
+    order; `probs`' other axes sit between the row and the block axis."""
+    n_rows, n = table.shape
+    masses = np.zeros((n_rows, *probs.shape[1:], n))
+    rows = np.arange(n_rows)
+    for i in range(n):
+        masses[rows, ..., table[:, i]] += probs[i]
+    return masses
+
+
+def _partition_values(masses_p: np.ndarray, masses_q: np.ndarray) -> np.ndarray:
+    """sum_E P[E] ln(P[E]/Q[E]) for each row of block masses, an exact sum
+    of the row's terms; overwrites `masses_p`."""
+    terms = rel_entr(masses_p, masses_q, out=masses_p)
+    # 256 rows at a time, so no list of the whole table's floats is built
+    return np.array([math.fsum(row) for start in range(0, len(terms), 256)
+                     for row in terms[start:start + 256].tolist()])
+
+
 def partition_divergence(p: Pmf, q: Pmf, partition: Partition) -> float:
     """sum_E P[E] ln(P[E]/Q[E]) over the partition's blocks.
 
     Conventions: blocks with P[E] = 0 contribute 0; P[E] > 0 with
-    Q[E] = 0 yields +inf.
+    Q[E] = 0 yields +inf. Block masses are summed in symbol order, so the
+    value of a partition `gyp_supremum` returns is its value bit for bit.
     """
     if p.alphabet != q.alphabet:
         raise ValueError("partition_divergence requires identical alphabets")
-    index = {label: i for i, label in enumerate(p.alphabet)}
-    seen = [index[x] for b in partition.blocks for x in b]
-    if sorted(seen) != list(range(len(p))):
-        raise ValueError("partition must cover the alphabet exactly")
-    values = []
-    for block in partition.blocks:
-        ids = [index[x] for x in block]
-        mass_p = math.fsum(float(p.probs[i]) for i in ids)
-        mass_q = math.fsum(float(q.probs[i]) for i in ids)
-        values.append(float(rel_entr(mass_p, mass_q)))
-    return math.fsum(values)
+    block_of = {x: b for b, block in enumerate(partition.blocks) for x in block}
+    unknown = [x for x in block_of if x not in p.alphabet]
+    missing = [x for x in p.alphabet if x not in block_of]
+    if unknown or missing:
+        raise ValueError(f"partition must cover the alphabet exactly: labels {unknown} "
+                         f"are not in it, labels {missing} are missing")
+    table = np.array([[block_of[x] for x in p.alphabet]])
+    return float(_partition_values(_block_masses(p.probs, table),
+                                   _block_masses(q.probs, table))[0])
 
 
 def gyp_supremum(p: Pmf, q: Pmf, max_blocks: int) -> tuple:
@@ -413,25 +425,14 @@ def gyp_supremum(p: Pmf, q: Pmf, max_blocks: int) -> tuple:
 def _gyp_ladder(p_bits: bytes, q_bits: bytes) -> tuple:
     """((best row of `_rgs_table(n)`, value) for max_blocks = 1..n), from one enumeration.
 
-    Each block mass is summed in symbol order and each partition's value is
-    an exact sum of its block terms. Among tied partitions the one
-    enumerated last wins, so the all-singletons partition wins at k = n.
+    Among tied partitions the one enumerated last wins, so the
+    all-singletons partition wins at k = n.
     """
     p, q = np.frombuffer(p_bits), np.frombuffer(q_bits)
-    n = len(p)
-    table, counts = _rgs_table(n)
-    rows = np.arange(len(table))
-    masses_p = np.zeros((len(table), n))
-    masses_q = np.zeros((len(table), n))
-    for i in range(n):
-        masses_p[rows, table[:, i]] += p[i]
-        masses_q[rows, table[:, i]] += q[i]
-    terms = rel_entr(masses_p, masses_q, out=masses_p)
-    # 256 rows at a time, so no list of the whole table's floats is built
-    values = np.array([math.fsum(row) for start in range(0, len(table), 256)
-                       for row in terms[start:start + 256].tolist()])
+    table, counts = _rgs_table(len(p))
+    values = _partition_values(_block_masses(p, table), _block_masses(q, table))
     ladder = []
-    for k in range(1, n + 1):
+    for k in range(1, len(p) + 1):
         (allowed,) = np.nonzero(counts <= k)
         candidates = values[allowed]
         best = int(allowed[np.flatnonzero(candidates == candidates.max())[-1]])
@@ -444,35 +445,25 @@ def gyp_mi_supremum(j: JointPmf2, max_blocks: int) -> float:
 
     Rows and columns are partitioned independently (each into at most
     max_blocks blocks); at the finest rectangles the value equals the
-    mutual information exactly. Both alphabets limited to 5.
+    mutual information exactly, and a rounding residue below zero reads 0
+    as it does there, so the value never falls below `mutual_information`
+    once max_blocks covers both alphabets. Both alphabets limited to 5.
     """
     n_rows, n_cols = j.probs.shape
     if n_rows > 5 or n_cols > 5:
         raise ValueError("gyp_mi_supremum enumerates partition pairs; alphabets must be <= 5")
     if max_blocks < 1:
         raise ValueError("max_blocks must be >= 1")
-    px = j.probs.sum(axis=1)
-    py = j.probs.sum(axis=0)
-
-    def indicators(n, rgs):
-        mat = np.zeros((max(rgs) + 1, n))
-        for i, b in enumerate(rgs):
-            mat[b, i] = 1.0
-        return mat
-
-    row_parts = [indicators(n_rows, r) for r in _restricted_growth_strings(n_rows, max_blocks)]
-    col_parts = [indicators(n_cols, r) for r in _restricted_growth_strings(n_cols, max_blocks)]
-    best = -math.inf
-    for s_r in row_parts:
-        block_px = s_r @ px
-        coarse_rows = s_r @ j.probs
-        for s_c in col_parts:
-            block_py = s_c @ py
-            blocks = coarse_rows @ s_c.T
-            value = _exact_sum(rel_entr(blocks, np.outer(block_px, block_py)))
-            if value > best:
-                best = value
-    return best
+    row_table, col_table = (table[counts <= max_blocks]
+                            for table, counts in map(_rgs_table, j.probs.shape))
+    # every (column partition, row partition) pair at once: the column
+    # masses of the row masses, shaped (pair..., row block, column block)
+    blocks = _block_masses(_block_masses(j.probs, row_table).transpose(1, 0, 2), col_table)
+    product = (_block_masses(j.probs.sum(axis=1), row_table)[:, :, None]
+               * _block_masses(j.probs.sum(axis=0), col_table)[:, None, None, :])
+    pairs = (-1, n_rows * n_cols)
+    return _clip_residue(float(_partition_values(blocks.reshape(pairs),
+                                                 product.reshape(pairs)).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ class TestScoreMatrix:
         batch = small_batch(n=n)
         # rows pushed through the networks, read off the inputs in the forward cache
         sep = init_critic(CriticArch(3, 3, form="separable", hidden=(8,), embed=4), seed=0)
-        _, (_, cache_x, _, cache_y) = score_matrix_with_cache(sep, batch)
+        _, (_, cache_x, _, cache_y, _) = score_matrix_with_cache(sep, batch)
         assert cache_x[0][0].shape[0] + cache_y[0][0].shape[0] == 2 * n
         joint = init_critic(CriticArch(3, 3, form="joint", hidden=(8,)), seed=0)
         _, (inputs, _) = score_matrix_with_cache(joint, batch)
@@ -358,18 +358,21 @@ class TestBuffers:
             params, [a + rng.normal(scale=0.1, size=a.shape) for a in param_arrays(params)])
         n = 7
         upstream = rng.normal(size=(n, n))
-        table = np.empty((n, n)) if form == "separable" else None
+
+        def table_of(cache):
+            return cache[-1] if form == "separable" else cache[1][-1]
+
         cache = None
         for seed in range(3):
             batch = small_batch(n=n, seed=seed)
             want, want_cache = score_matrix_with_cache(params, batch)
             want_grads = backward_from_cache(params, want_cache, upstream)
-            got, cache = score_matrix_with_cache(params, batch, out=table, cache=cache)
+            earlier = None if cache is None else table_of(cache)
+            got, cache = score_matrix_with_cache(params, batch, cache=cache)
             assert np.array_equal(got, want)
-            if form == "separable":
-                assert got is table
-            else:  # a view of the cache's output, written over by each forward pass
-                assert np.shares_memory(got, cache[1][-1])
+            # the table lives in the cache, written over by each forward pass
+            assert np.shares_memory(got, table_of(cache))
+            assert earlier is None or np.shares_memory(got, earlier)
             grads = [np.full(a.shape, np.nan) for a in param_arrays(params)]
             backward_from_cache(params, cache, upstream, out=grads)
             assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))

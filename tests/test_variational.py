@@ -15,6 +15,7 @@ from mitk.discrete import (
     Pmf,
     kl_divergence,
     mutual_information,
+    random_joint2,
     random_pmf,
 )
 from mitk.variational import (
@@ -84,6 +85,28 @@ def _per_k_gyp(p, q, max_blocks):
         if value >= best_value:
             best_value, best_blocks = value, tuple(tuple(m) for m in members)
     return best_blocks, best_value
+
+
+def _pairwise_gyp_mi(j, max_blocks):
+    """Reference rectangle supremum: one indicator-matrix product per pair of
+    row and column partitions, each valued by an exact sum."""
+    px, py = j.probs.sum(axis=1), j.probs.sum(axis=0)
+
+    def indicators(n):
+        out = []
+        for rgs in _per_k_rgs(n, max_blocks):
+            mat = np.zeros((max(rgs) + 1, n))
+            mat[list(rgs), range(n)] = 1.0
+            out.append(mat)
+        return out
+
+    best = -math.inf
+    for s_r in indicators(len(px)):
+        for s_c in indicators(len(py)):
+            blocks = s_r @ j.probs @ s_c.T
+            terms = scipy.special.rel_entr(blocks, np.outer(s_r @ px, s_c @ py))
+            best = max(best, math.fsum(terms.ravel().tolist()))
+    return best
 
 
 class TestGoldenDecomposition:
@@ -254,8 +277,12 @@ class TestGyp:
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             Partition((("a", "b"), ("b",)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'b'"):
             partition_divergence(P_AB, Q_AB, Partition((("a",),)))
+        with pytest.raises(ValueError, match="'zz'"):
+            partition_divergence(P_AB, Q_AB, Partition((("a",), ("zz",))))
+        with pytest.raises(ValueError, match="'c'"):
+            partition_divergence(P_AB, Q_AB, Partition((("a", "b", "c"),)))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ladder_matches_per_k_enumeration(self, n):
@@ -275,10 +302,42 @@ class TestGyp:
                 assert value.hex() == ref_value.hex()
                 assert part.blocks == ref_blocks
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_supremum_partition_values_to_the_supremum(self, n):
+        rng = np.random.default_rng(200 + n)
+        labels = tuple(f"s{i}" for i in range(n))
+        p = random_pmf(rng, n, labels=labels)
+        q = random_pmf(rng, n, labels=labels)
+        cases = [(p, q), (q, p)]
+        if n > 1:
+            hole = np.append(p.probs[1:], 0.0) / p.probs[1:].sum()
+            cases += [(Pmf(labels, hole), q), (q, Pmf(labels, hole))]
+        for a, b in cases:
+            for k in range(1, n + 1):
+                part, value = gyp_supremum(a, b, k)
+                assert partition_divergence(a, b, part).hex() == value.hex(), (k, part)
+
+    @pytest.mark.parametrize("n_rows", range(1, 6))
+    def test_mi_supremum_matches_pairwise_loop(self, n_rows):
+        rng = np.random.default_rng(300 + n_rows)
+        for n_cols in range(1, 6):
+            for _ in range(2):
+                j = random_joint2(rng, n_rows, n_cols)
+                for max_blocks in range(1, 7):
+                    want = _pairwise_gyp_mi(j, max_blocks)
+                    # block masses are at most 1, so 1e-15 is relative to the total mass
+                    assert abs(gyp_mi_supremum(j, max_blocks) - want) <= 1e-15, (j, max_blocks)
+                top = gyp_mi_supremum(j, max(n_rows, n_cols))
+                assert top >= mutual_information(j), j
+
     def test_mi_rectangles(self):
         assert gyp_mi_supremum(INDEP, max_blocks=2) == pytest.approx(0.0, abs=1e-13)
         assert gyp_mi_supremum(TILTED, max_blocks=2) == pytest.approx(MI_4114, abs=1e-15)
         assert gyp_mi_supremum(TILTED, max_blocks=1) == pytest.approx(0.0, abs=1e-13)
+        # one row: every rectangle's value is a rounding residue, and a negative one reads 0
+        row = JointPmf2(("r0",), ("c0", "c1", "c2"),
+                        [[0.06637595405352668, 0.7342794847248234, 0.19934456122165004]])
+        assert gyp_mi_supremum(row, max_blocks=3) >= mutual_information(row) == 0.0
 
 
 class TestCurvatureProbes:
