@@ -8,9 +8,10 @@ Subcommands:
   table-mi  exact mutual information of a plain-text joint probability table
 
 Configuration precedence is defaults < config file (flat key=value lines)
-< command-line flags, last wins; every train/bench output directory gets
-the fully resolved configuration echoed into config_resolved.txt so any
-artifact can be reproduced from the directory alone. Output files carry no
+< command-line flags < --set pairs, last wins; every train/bench output
+directory gets the fully resolved configuration echoed into
+config_resolved.txt so any artifact can be reproduced from the directory
+alone. Output files carry no
 timestamps: identical invocations produce byte-identical artifacts.
 """
 
@@ -21,8 +22,9 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,56 +55,57 @@ def _default_seed() -> int:
         raise ValueError(f"MITK_SEED must be an integer, got {raw!r}") from None
 
 
-_DEFAULTS = {
-    "dim": 20,
-    "rho": None,
-    "target_mi": None,
-    "steps": 20000,
-    "batch_size": 128,
-    "eval_every": 100,
-    "smoothing": 0.9,
-    "seeds": 3,
-    "workers": os.cpu_count() or 1,
-    "out": ".",
-    "critic.form": "separable",
-    "critic.widths": "64,64",
-    "critic.embed": 32,
-    "adam.lr": 5e-4,
-    "adam.beta1": 0.9,
-    "adam.beta2": 0.999,
-    "adam.eps": 1e-8,
-}
+_UNSET = object()
 
-_PARSERS = {
-    "dim": int,
-    "rho": float,
-    "target_mi": float,
-    "steps": int,
-    "batch_size": int,
-    "eval_every": int,
-    "smoothing": float,
-    "seed": int,
-    "seeds": int,
-    "workers": int,
-    "out": str,
-    "estimator": str,
-    "estimators": str,
-    "critic.form": str,
-    "critic.widths": str,
-    "critic.embed": int,
-    "adam.lr": float,
-    "adam.beta1": float,
-    "adam.beta2": float,
-    "adam.eps": float,
+
+class _Key(NamedTuple):
+    """A configuration key: its parser, and the `TrainSettings` field it sets,
+    whose default it takes, or else its own default."""
+
+    parse: type
+    field: str | None = None
+    default: object = _UNSET  # no default: absent until something sets it
+
+
+_KEYS = {
+    "dim": _Key(int, default=20),
+    "rho": _Key(float, default=None),
+    "target_mi": _Key(float, default=None),
+    "seed": _Key(int, default=None),
+    "seeds": _Key(int, default=3),
+    "workers": _Key(int, default=1),
+    "out": _Key(str, default="."),
+    "estimator": _Key(str),
+    "estimators": _Key(str),
+    "steps": _Key(int, "steps"),
+    "batch_size": _Key(int, "batch_size"),
+    "eval_every": _Key(int, "eval_every"),
+    "smoothing": _Key(float, "smoothing"),
+    "critic.form": _Key(str, "critic_form"),
+    # kept as the comma string it was given, so the echo shows that string
+    "critic.widths": _Key(str, "hidden"),
+    "critic.embed": _Key(int, "embed"),
+    "adam.lr": _Key(float, "lr"),
+    "adam.beta1": _Key(float, "beta1"),
+    "adam.beta2": _Key(float, "beta2"),
+    "adam.eps": _Key(float, "eps"),
 }
 
 
-def _parse_value(key: str, raw):
-    if key not in _PARSERS:
+def _defaults() -> dict:
+    fields = asdict(TrainSettings())
+    fields["hidden"] = ",".join(str(w) for w in fields["hidden"])
+    return {
+        name: fields[key.field] if key.field else key.default
+        for name, key in _KEYS.items()
+        if key.field or key.default is not _UNSET
+    }
+
+
+def _parse_value(key: str, raw: str):
+    if key not in _KEYS:
         raise ValueError(f"unknown configuration key {key!r}")
-    if raw is None or isinstance(raw, (int, float)):
-        return raw
-    return _PARSERS[key](raw)
+    return _KEYS[key].parse(raw)
 
 
 def _load_config_file(path: str) -> dict:
@@ -118,16 +121,15 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve_config(args, flag_keys: tuple) -> dict:
-    """defaults < config file < explicit flags < --set pairs, last wins."""
-    config = dict(_DEFAULTS, seed=None)
-    if getattr(args, "config", None):
+def _resolve_config(args) -> dict:
+    """defaults < config file < flags < --set pairs, last wins; a flag is
+    any argparse dest that is a configuration key."""
+    config = _defaults()
+    if args.config:
         config.update(_load_config_file(args.config))
-    for key in flag_keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    for pair in getattr(args, "set", None) or []:
+    config.update((dest, value) for dest, value in vars(args).items()
+                  if dest in _KEYS and value is not None)
+    for pair in args.set or []:
         if "=" not in pair:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
@@ -150,21 +152,9 @@ def _task_from_config(config: dict) -> GaussianTask:
 
 
 def _settings_from_config(config: dict, seed: int) -> TrainSettings:
-    widths = tuple(int(w) for w in str(config["critic.widths"]).split(",") if w.strip())
-    return TrainSettings(
-        steps=int(config["steps"]),
-        batch_size=int(config["batch_size"]),
-        seed=seed,
-        eval_every=int(config["eval_every"]),
-        smoothing=float(config["smoothing"]),
-        critic_form=str(config["critic.form"]),
-        hidden=widths,
-        embed=int(config["critic.embed"]),
-        lr=float(config["adam.lr"]),
-        beta1=float(config["adam.beta1"]),
-        beta2=float(config["adam.beta2"]),
-        eps=float(config["adam.eps"]),
-    )
+    fields = {key.field: config[name] for name, key in _KEYS.items() if key.field}
+    fields["hidden"] = tuple(int(w) for w in fields["hidden"].split(",") if w.strip())
+    return TrainSettings(seed=seed, **fields)
 
 
 def _echo_config(config: dict, out_dir: Path) -> None:
@@ -206,19 +196,16 @@ def _cmd_verify(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_FLAGS = ("dim", "rho", "target_mi", "steps", "batch_size", "eval_every", "out", "seed")
-
-
 def _cmd_train(args) -> int:
-    config = _resolve_config(args, _TRAIN_FLAGS)
-    config["estimator"] = args.estimator
+    config = _resolve_config(args)
+    kind = EstimatorKind(config["estimator"])
     task = _task_from_config(config)
     settings = _settings_from_config(config, int(config["seed"]))
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
     try:
-        trajectory = train_estimator(args.estimator, task, settings)
+        trajectory = train_estimator(kind, task, settings)
     except TrainingDiverged as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -305,12 +292,8 @@ def _summary_table_text(rows: list) -> str:
     return "\n".join(lines)
 
 
-_BENCH_FLAGS = _TRAIN_FLAGS + ("seeds", "workers")
-
-
 def _cmd_bench(args) -> int:
-    config = _resolve_config(args, _BENCH_FLAGS)
-    config["estimators"] = args.estimators
+    config = _resolve_config(args)
     task = _task_from_config(config)
     tags = tuple(t.strip() for t in str(config["estimators"]).split(",") if t.strip())
     master = int(config["seed"])
@@ -338,11 +321,14 @@ def _cmd_bench(args) -> int:
         }
         for future, (tag, seed) in futures.items():
             try:
-                results.setdefault(tag, []).append(future.result())
+                trajectory = future.result()
             except TrainingDiverged as err:
                 failures.append((tag, seed, str(err)))
             except Exception as err:  # one broken run must not lose the others
                 failures.append((tag, seed, f"{type(err).__name__}: {err}"))
+            else:
+                # a tag gets a summary row only once one of its runs finished
+                results.setdefault(tag, []).append(trajectory)
 
     rows = [
         _summarize(tag, task, sorted(results[tag], key=lambda t: t.seed))

@@ -20,7 +20,7 @@ inputs and runs the same in-place kernel on the copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -347,26 +347,25 @@ def baseline_backward(net: Mlp, ys: np.ndarray, dlog_a: np.ndarray):
 class AdamState:
     """Bias-corrected first/second moment accumulators plus hyperparameters.
 
-    `scratch` holds two work arrays per parameter for `adam_update`; they
-    are allocated on its first call and reused after that.
+    The hyperparameters' defaults are `estimators.TrainSettings`'s. `scratch`
+    holds two work arrays per parameter for `adam_update`; they are allocated
+    on its first call and reused after that.
     """
 
     m: list
     v: list
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
     step: int = 0
-    lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: list = field(default_factory=list, repr=False, compare=False)
 
 
-def init_adam(params: list, lr: float = 5e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(params: list, lr: float, beta1: float, beta2: float, eps: float) -> AdamState:
     return AdamState(
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
-        step=0,
         lr=lr,
         beta1=beta1,
         beta2=beta2,
@@ -407,11 +406,11 @@ def adam_update(state: AdamState, params: list, grads: list) -> None:
 
 def adam_step(state: AdamState, params: list, grads: list):
     """One descent update; returns (new state, new params), inputs untouched."""
-    new_state = AdamState(
+    new_state = replace(
+        state,
         m=[np.array(m, dtype=np.float64) for m in state.m],
         v=[np.array(v, dtype=np.float64) for v in state.v],
-        step=state.step,
-        lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
+        scratch=[],
     )
     new_params = [np.array(p, dtype=np.float64) for p in params]
     adam_update(new_state, new_params, grads)

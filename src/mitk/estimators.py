@@ -479,24 +479,36 @@ def make_objective(kind, task: GaussianTask, settings: "TrainSettings") -> Objec
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Optimizer and architecture knobs shared by every estimator."""
+    """Optimizer and architecture knobs shared by every estimator; the one home
+    of the training defaults, the critic's shape defaults being `CriticArch`'s."""
 
     steps: int = 20000
     batch_size: int = 128
     seed: int = 0
     eval_every: int = 100
     smoothing: float = 0.9
-    critic_form: str = "separable"
-    hidden: tuple = (64, 64)
-    embed: int = 32
+    critic_form: str = nets.CriticArch.form
+    hidden: tuple = nets.CriticArch.hidden
+    embed: int = nets.CriticArch.embed
     lr: float = 5e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 2 or self.eval_every < 1:
-            raise ValueError("invalid training settings")
+        # comparisons with NaN are false, so a NaN fails every rule
+        for name, ok, rule in (
+            ("steps", self.steps >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 2, ">= 2"),
+            ("eval_every", self.eval_every >= 1, ">= 1"),
+            ("smoothing", 0.0 <= self.smoothing <= 1.0, "in [0, 1]"),
+            ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("eps", 0.0 < self.eps < math.inf, "finite and > 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 

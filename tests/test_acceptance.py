@@ -12,11 +12,14 @@ import time
 import numpy as np
 from scipy import integrate
 
+from mitk.cli import main
 from mitk.critic import (
     CriticArch,
     Mlp,
     backward_from_cache,
     init_critic,
+    mlp_backward,
+    mlp_forward,
     param_arrays,
     score_matrix,
     score_matrix_with_cache,
@@ -29,7 +32,9 @@ from mitk.discrete import (
     random_joint2,
 )
 from mitk.estimators import (
+    DecoderParams,
     TrainSettings,
+    est_ba_lower,
     est_infonce,
     est_nwj,
     est_tuba,
@@ -269,8 +274,6 @@ def test_criterion_7_gradients():
 
             worst = max(worst, _fd_worst(arrays, analytic, value))
         else:
-            from mitk.estimators import DecoderParams
-
             decoder = init_decoder(dim, (int(rng.integers(3, 17)),),
                                    seed=int(rng.integers(0, 10_000)))
             decoder = DecoderParams(
@@ -289,8 +292,6 @@ def test_criterion_7_gradients():
 
 
 def _kink_distance_mlp(net, data):
-    from mitk.critic import mlp_forward
-
     _, (_, preacts) = mlp_forward(net, data)
     return min(float(np.abs(z).min()) for z in preacts[:-1]) if len(preacts) > 1 else np.inf
 
@@ -323,15 +324,12 @@ def _fd_worst(arrays, analytic, value, h=1e-5):
 
 
 def _decoder_fd_worst(decoder, batch, task):
-    import mitk.critic as nets
-    from mitk.estimators import DecoderParams, est_ba_lower
-
     h_x = marginal_entropy(task)
-    mean, cache = nets.mlp_forward(decoder.net, batch.ys)
+    mean, cache = mlp_forward(decoder.net, batch.ys)
     resid = batch.xs - mean
     inv_var = np.exp(-decoder.log_var)
     dmean = resid * inv_var / batch.n
-    dw, db = nets.mlp_backward(decoder.net, cache, dmean)
+    dw, db = mlp_backward(decoder.net, cache, dmean)
     analytic = []
     for w, b in zip(dw, db):
         analytic.extend([w, b])
@@ -347,8 +345,6 @@ def _decoder_fd_worst(decoder, batch, task):
 
 @criterion("8 artifact-determinism")
 def test_criterion_8_determinism(tmp_path, capsys):
-    from mitk.cli import main
-
     train_args = [
         "train", "--estimator", "nwj", "--dim", "5", "--target-mi", "1",
         "--seed", "0", "--steps", "200", "--batch-size", "32",

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,29 @@ class TestBench:
         assert summary[1] == clean_rows[1]
         assert "run failed" not in clean.err and "summary:" not in clean.err
 
+    def test_estimator_with_no_finished_run_has_no_row(self, tmp_path, capsys,
+                                                        monkeypatch):
+        real = mitk.cli.train_estimator
+
+        def flaky(tag, task, settings):
+            if tag == "nwj":
+                raise ValueError("boom")
+            return real(tag, task, settings)
+
+        monkeypatch.setattr(mitk.cli, "train_estimator", flaky)
+        with warnings.catch_warnings():
+            # the mean of no runs would warn "Mean of empty slice"
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["bench", "--estimators", "nwj,ba_upper", "--seeds", "2",
+                         "--seed", "0", "--dim", "2", "--target-mi", "1",
+                         "--out", str(tmp_path)] + FAST)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "summary: nwj covers 0 of 2 seeds" in captured.err.splitlines()
+        summary = (tmp_path / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["ba_upper"]
+        assert not any(line.startswith("nwj") for line in captured.out.splitlines())
+
     def test_worker_count_does_not_change_artifacts(self, tmp_path, capsys):
         args = ["bench", "--estimators", "dv,tuba,nwj,infonce,ba_lower,ba_upper,l1out",
                 "--seeds", "2", "--seed", "0", "--dim", "2", "--target-mi", "1"] + FAST
@@ -266,7 +290,12 @@ class TestBench:
                                      ["--set", "critic.form=dense"],
                                      ["--set", "critic.embed=0"], ["--seeds", "0"],
                                      ["--workers", "0"], ["--workers", "-2"],
-                                     ["--set", "workers=0"]])
+                                     ["--set", "workers=0"],
+                                     ["--set", "adam.lr=-0.001"], ["--set", "adam.lr=0"],
+                                     ["--set", "adam.lr=inf"], ["--set", "adam.lr=nan"],
+                                     ["--set", "adam.beta1=1"], ["--set", "adam.beta2=-0.1"],
+                                     ["--set", "adam.eps=0"], ["--set", "adam.eps=inf"],
+                                     ["--set", "smoothing=1.5"], ["--set", "smoothing=-0.1"]])
     def test_bad_settings_are_an_input_error_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch, bad):
         def never(*args):
@@ -296,7 +325,38 @@ class TestTableMi:
         assert main(["table-mi", "--table", str(path)]) == 2
 
 
+GOLDEN_CONFIG_RESOLVED = """\
+adam.beta1=0.9
+adam.beta2=0.999
+adam.eps=1e-08
+adam.lr=0.0005
+batch_size=16
+critic.embed=32
+critic.form=separable
+critic.widths=64,64
+dim=20
+estimator=nwj
+eval_every=100
+out={out}
+rho=None
+seed=0
+seeds=3
+smoothing=0.9
+steps=0
+target_mi=1.0
+workers=1
+"""
+
+
 class TestConfigPrecedence:
+    def test_config_resolved_is_golden(self, tmp_path, capsys):
+        # every default the run did not override is echoed, training ones included
+        code = main(["train", "--estimator", "nwj", "--target-mi", "1", "--seed", "0",
+                     "--steps", "0", "--batch-size", "16", "--out", str(tmp_path)])
+        assert code == 0
+        resolved = (tmp_path / "config_resolved.txt").read_text()
+        assert resolved == GOLDEN_CONFIG_RESOLVED.format(out=tmp_path)
+
     def test_file_overrides_defaults_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps = 40\nbatch_size = 16\ndim = 2\ntarget_mi = 1\n"
@@ -319,6 +379,13 @@ class TestConfigPrecedence:
                      "--set", "critic.embed=4"])
         assert code == 0
         assert "steps=15" in (out_dir / "config_resolved.txt").read_text()
+
+    def test_set_overrides_the_estimator_flag(self, tmp_path, capsys):
+        code = main(["train", "--estimator", "dv", "--dim", "2", "--target-mi", "1",
+                     "--seed", "0", "--out", str(tmp_path), "--set", "estimator=nwj"] + FAST)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["nwj_2_1_0.csv"]
+        assert "estimator=nwj" in (tmp_path / "config_resolved.txt").read_text()
 
     def test_env_var_sets_default_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MITK_SEED", "9")

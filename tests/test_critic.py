@@ -263,7 +263,7 @@ class TestJointFactoredLayer:
 class TestAdam:
     def test_zero_grads_leave_params_alone(self):
         params = [np.array([1.0, -2.0]), np.array([[0.5]])]
-        state = init_adam(params, lr=0.1)
+        state = init_adam(params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         _, new_params = adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
         for p, q in zip(params, new_params):
             assert np.array_equal(p, q)
@@ -271,13 +271,13 @@ class TestAdam:
     def test_first_step_magnitude(self):
         # p=0, g=1, lr=0.1: bias correction makes the first step -lr * sign(g)
         params = [np.array([0.0])]
-        state = init_adam(params, lr=0.1)
+        state = init_adam(params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         _, new_params = adam_step(state, params, [np.array([1.0])])
         assert new_params[0][0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_constant_gradient_descends_monotonically(self):
         params = [np.array([0.0])]
-        state = init_adam(params, lr=0.05)
+        state = init_adam(params, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
         history = [params[0][0]]
         for _ in range(20):
             state, params = adam_step(state, params, [np.array([2.0])])
@@ -286,14 +286,14 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         params = [np.zeros(3)]
-        state = init_adam(params)
+        state = init_adam(params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8)
         with pytest.raises(ValueError):
             adam_step(state, params, [np.zeros(4)])
 
     def test_state_not_mutated(self):
         params = [np.array([1.0])]
         grads = [np.array([1.0])]
-        state = init_adam(params, lr=0.1)
+        state = init_adam(params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         adam_step(state, params, grads)
         assert state.step == 0
         assert np.all(state.m[0] == 0.0) and np.all(state.v[0] == 0.0)
@@ -302,9 +302,9 @@ class TestAdam:
     def test_in_place_kernel_matches_functional_form_bitwise(self):
         rng = np.random.default_rng(21)
         params = [rng.normal(size=(3, 4)), rng.normal(size=5)]
-        state = init_adam(params, lr=0.01)
+        state = init_adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         flat = [p.copy() for p in params]
-        in_place = init_adam(flat, lr=0.01)
+        in_place = init_adam(flat, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         for _ in range(5):
             grads = [rng.normal(scale=10.0, size=p.shape) for p in params]
             kept = [g.copy() for g in grads]
@@ -317,7 +317,7 @@ class TestAdam:
 
     def test_in_place_kernel_rejects_mismatch_before_writing(self):
         params = [np.zeros(3), np.zeros(2)]
-        state = init_adam(params)
+        state = init_adam(params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8)
         with pytest.raises(ValueError):
             adam_update(state, params, [np.ones(3), np.ones(4)])
         assert state.step == 0 and np.all(params[0] == 0.0) and np.all(state.m[0] == 0.0)

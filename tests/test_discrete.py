@@ -17,6 +17,7 @@ from mitk.discrete import (
     conditional_mutual_information,
     entropy,
     f_divergence,
+    f_js,
     f_kl,
     f_tv,
     format_joint_table,
@@ -278,8 +279,6 @@ class TestFDivergence:
 
     def test_js_matches_f_form(self):
         rng = np.random.default_rng(3)
-        from mitk.discrete import f_js
-
         for _ in range(50):
             p = random_pmf(rng, 4)
             q = random_pmf(rng, 4, labels=p.alphabet)

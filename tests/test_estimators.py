@@ -678,6 +678,26 @@ class TestObjectiveGradients:
             assert analytic[-1] != 0.0  # the baseline's output bias, the last log-variance
 
 
+class TestTrainSettings:
+    @pytest.mark.parametrize("field, value", [
+        ("steps", -1), ("batch_size", 1), ("eval_every", 0),
+        ("smoothing", -0.1), ("smoothing", 1.5), ("smoothing", math.nan),
+        ("lr", 0.0), ("lr", -1e-3), ("lr", math.inf), ("lr", math.nan),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0), ("beta2", math.nan),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf),
+    ])
+    def test_out_of_range_value_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            TrainSettings(**{field: value})
+
+    def test_range_edges_and_large_rates_are_legal(self):
+        # a large finite rate is legal: it is how divergence is forced on purpose
+        for lr in (50.0, 1e6):
+            TrainSettings(lr=lr)
+        TrainSettings(smoothing=0.0, beta1=0.0, beta2=0.0)
+        TrainSettings(smoothing=1.0)
+
+
 class TestTrajectoryInvariants:
     def test_steps_strictly_increasing_enforced(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,14 @@
 """Import hygiene: every module of the package and of its tests uses what it imports,
-and the package imports only at module level."""
+and imports only at module level."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# mitk/__init__.py imports only to re-export, so it is left out
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "mitk").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
-)
-# the tests may import inside a function; the package may not
 PACKAGE = sorted((ROOT / "src" / "mitk").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+# mitk/__init__.py imports only to re-export, so it is left out of the unused-name scan
+MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"] + TESTS)
 
 
 def _dotted(node):
@@ -97,10 +94,18 @@ def test_scan_finds_local_imports():
     assert local_imports(source) == [3, 5, 9]
 
 
-def test_package_imports_only_at_module_level():
+def _assert_imports_only_at_module_level(paths):
     local = [
         f"{path.relative_to(ROOT)}:{line}"
-        for path in PACKAGE
+        for path in paths
         for line in local_imports(path.read_text())
     ]
     assert not local, "imported inside a function:\n" + "\n".join(local)
+
+
+def test_package_imports_only_at_module_level():
+    _assert_imports_only_at_module_level(PACKAGE)
+
+
+def test_tests_import_only_at_module_level():
+    _assert_imports_only_at_module_level(TESTS)
