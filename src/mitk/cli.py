@@ -33,7 +33,6 @@ from .estimators import (
     EstimatorKind,
     TrainSettings,
     TrainingDiverged,
-    make_objective,
     train_estimator,
     trajectory_csv_text,
     trajectory_filename,
@@ -298,9 +297,9 @@ def _cmd_bench(args) -> int:
     tags = tuple(t.strip() for t in str(config["estimators"]).split(",") if t.strip())
     master = int(config["seed"])
     # bad input (a typo, bad settings) raises here, not in every run of the pool
-    settings = _settings_from_config(config, master)
+    _settings_from_config(config, master)
     for tag in tags:
-        make_objective(tag, task, settings)
+        EstimatorKind(tag)
     seeds = tuple(master + i for i in range(int(config["seeds"])))
     if not tags or not seeds:
         raise ValueError("estimator and seed lists must be nonempty")

@@ -8,7 +8,9 @@ implementation honest without dragging in a general autodiff system.
 
 Buffers: the functions here allocate their results unless given `out=`
 arrays to write into; a forward pass can also write into the cache of an
-earlier one. A training run owns its buffers: `flat_buffer` packs the
+earlier one. A forward cache holds one array per layer, the hidden layers'
+activations and not their preactivations, and a backward pass forms the
+signal it passes down in those arrays, using the cache up. A training run owns its buffers: `flat_buffer` packs the
 components' arrays into one flat float64 vector and hands back a view of
 it per array, containers are built once over those views, backward
 writes each gradient into its view of a flat gradient buffer, and
@@ -76,48 +78,49 @@ def init_mlp(widths, rng) -> Mlp:
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray, out=None):
-    """Returns (output, cache); cache holds the per-layer inputs and preactivations.
+    """Returns (output, cache); cache = [x, h_1, ..., h_L-1, output] holds one
+    array per layer, each hidden layer's ReLU applied in place to its
+    preactivation.
 
     With `out`, a cache returned by an earlier call on as many rows, every
-    preactivation and hidden activation is written into that cache's arrays
-    and the cache returned refers to them.
+    layer is written into that cache's arrays and the cache returned refers
+    to them.
     """
-    inputs = [x]
-    preacts = []
+    rows = [np.empty((x.shape[0], w.shape[1])) for w in mlp.weights] if out is None else out[1:]
+    cache = [x, *rows]
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = np.matmul(inputs[i], w, out=None if out is None else out[1][i])
+        z = np.matmul(cache[i], w, out=cache[i + 1])
         z += b
-        preacts.append(z)
         if i < last:
-            inputs.append(np.maximum(z, 0.0, out=None if out is None else out[0][i + 1]))
-    return preacts[-1], (inputs, preacts)
+            np.maximum(z, 0.0, out=z)
+    return cache[-1], cache
 
 
 def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, out=None, dinput=None):
-    """Gradients of sum(dout * output) with respect to every weight and bias.
+    """Gradients of sum(dout * output) with respect to every weight and bias,
+    in param_arrays order.
 
-    With `out`, arrays in param_arrays order, each gradient is written into
-    its array instead of a new one, and the signal passed down between
-    layers is formed in the cache's hidden-layer arrays, which are used up:
-    after such a call only the cache's output may be read again. `dinput`,
-    an array shaped like the input, receives the input's gradient if given.
+    The signal passed down between layers is formed in the cache's hidden
+    arrays, which are used up: afterwards only the cache's input and output
+    may be read again. A hidden layer's ReLU mask is h > 0, taken before h
+    is written over; it equals the preactivation's z > 0 bit for bit. With
+    `out`, arrays in param_arrays order, each gradient is written into its
+    array instead of a new one. `dinput`, an array shaped like the input,
+    receives the input's gradient if given.
     """
-    inputs, preacts = cache
-    grads_w = [None] * len(mlp.weights)
-    grads_b = [None] * len(mlp.biases)
+    grads = [np.empty_like(a) for a in param_arrays(mlp)] if out is None else out
     dz = dout
     for i in range(len(mlp.weights) - 1, -1, -1):
-        out_w, out_b = (None, None) if out is None else (out[2 * i], out[2 * i + 1])
-        grads_w[i] = np.matmul(inputs[i].T, dz, out=out_w)
-        grads_b[i] = np.sum(dz, axis=0, out=out_b)
+        np.matmul(cache[i].T, dz, out=grads[2 * i])
+        np.sum(dz, axis=0, out=grads[2 * i + 1])
         if i > 0:
-            dh = np.matmul(dz, mlp.weights[i].T, out=None if out is None else inputs[i])
-            dz = np.multiply(dh, preacts[i - 1] > 0.0,
-                             out=None if out is None else preacts[i - 1])
+            h = cache[i]
+            mask = h > 0.0
+            dz = np.multiply(np.matmul(dz, mlp.weights[i].T, out=h), mask, out=h)
         elif dinput is not None:
             np.matmul(dz, mlp.weights[0].T, out=dinput)
-    return grads_w, grads_b
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +147,12 @@ class CriticArch:
     def __post_init__(self):
         if self.form not in ("joint", "separable"):
             raise ValueError(f"unknown critic form {self.form!r}")
-        if self.x_dim < 1 or self.y_dim < 1 or self.embed < 1:
+        if self.x_dim < 1 or self.y_dim < 1:
             raise ValueError("dimensions must be positive")
+        if self.embed < 1:
+            raise ValueError(f"critic embed must be >= 1, got {self.embed!r}")
         if any(h <= 0 for h in self.hidden):
-            raise ValueError("hidden widths must be positive")
+            raise ValueError(f"hidden widths must be positive, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
@@ -183,34 +188,34 @@ def score_matrix_with_cache(params: CriticParams, batch, cache=None):
 
     The joint network's layer 0 splits, [x, y] W + b = x W_x + (y W_y + b),
     so its n^2 x h preactivation is one broadcast add of two n-row products
-    and the concatenated rows are never built. The joint cache has
-    mlp_forward's layout with the pair (xs, ys) as its first input; the
-    separable cache is (hx, x tower cache, hy, y tower cache, table).
+    and the concatenated rows are never built. The joint cache is
+    [(xs, ys), h_1, ..., output]: mlp_forward's layout with the pair in
+    place of the input, so the layers above layer 0 run on cache[1:]. The
+    separable cache is (x tower cache, y tower cache, table).
 
-    Either form's table lives in its forward cache. With `cache`, one
-    returned by an earlier call at the same batch size, the forward pass
-    writes into its arrays (see mlp_forward), the table included.
+    Either form's table is the last entry of its forward cache. With
+    `cache`, one returned by an earlier call at the same batch size, the
+    forward pass writes into its arrays (see mlp_forward), the table
+    included.
     """
     xs, ys = batch.xs, batch.ys
     n = xs.shape[0]
     if params.form == "separable":
         x_tower, y_tower = params.nets
-        _, cache_x, _, cache_y, table = (None,) * 5 if cache is None else cache
+        cache_x, cache_y, table = (None,) * 3 if cache is None else cache
         hx, cache_x = mlp_forward(x_tower, xs, out=cache_x)
         hy, cache_y = mlp_forward(y_tower, ys, out=cache_y)
         table = np.matmul(hx, hy.T, out=table)
-        return table, (hx, cache_x, hy, cache_y, table)
+        return table, (cache_x, cache_y, table)
     (net,) = params.nets
     w, dx = net.weights[0], xs.shape[1]
-    z = np.empty((n * n, w.shape[1])) if cache is None else cache[1][0]
-    np.add((xs @ w[:dx])[:, None], ys @ w[dx:] + net.biases[0], out=z.reshape(n, n, -1))
-    upper = ([], [])
-    if len(net.weights) > 1:
-        h = np.maximum(z, 0.0, out=None if cache is None else cache[0][1])
-        _, upper = mlp_forward(Mlp(net.weights[1:], net.biases[1:]), h,
-                               out=None if cache is None else (cache[0][1:], cache[1][1:]))
-    inputs, preacts = [(xs, ys)] + upper[0], [z] + upper[1]
-    return preacts[-1].reshape(n, n), (inputs, preacts)
+    rows = [np.empty((n * n, v.shape[1])) for v in net.weights] if cache is None else cache[1:]
+    h = rows[0]
+    np.add((xs @ w[:dx])[:, None], ys @ w[dx:] + net.biases[0], out=h.reshape(n, n, -1))
+    if len(rows) > 1:
+        np.maximum(h, 0.0, out=h)
+    scores, rows = mlp_forward(_upper(net), h, out=rows)
+    return scores.reshape(n, n), [(xs, ys), *rows]
 
 
 def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=None):
@@ -221,76 +226,66 @@ def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=N
     layer 0's weight gradient is then [xs.T @ dz.sum(1); ys.T @ dz.sum(0)].
 
     With `out`, arrays in param_arrays order, the gradients are written
-    there and the cache is used up (see mlp_backward).
+    there. Either way the cache is used up (see mlp_backward); its table
+    may still be read.
     """
+    grads = [np.empty_like(a) for a in param_arrays(params)] if out is None else out
     if params.form == "separable":
         x_tower, y_tower = params.nets
-        hx, cache_x, hy, cache_y, _ = cache
+        cache_x, cache_y, _ = cache
         k = 2 * len(x_tower.weights)
-        out_x, out_y = (None, None) if out is None else (out[:k], out[k:])
-        dw_x, db_x = mlp_backward(x_tower, cache_x, upstream @ hy, out=out_x)
-        dw_y, db_y = mlp_backward(y_tower, cache_y, upstream.T @ hx, out=out_y)
-        return _interleave(dw_x, db_x) + _interleave(dw_y, db_y)
+        mlp_backward(x_tower, cache_x, upstream @ cache_y[-1], out=grads[:k])
+        mlp_backward(y_tower, cache_y, upstream.T @ cache_x[-1], out=grads[k:])
+        return grads
     (net,) = params.nets
-    inputs, preacts = cache
-    (xs, ys), (n, dx) = inputs[0], inputs[0][0].shape
-    dz, upper = upstream.reshape(n * n, 1), []
-    if len(net.weights) > 1:
-        dh = np.empty_like(inputs[1]) if out is None else inputs[1]
-        dw, db = mlp_backward(Mlp(net.weights[1:], net.biases[1:]), (inputs[1:], preacts[1:]),
-                              dz, out=None if out is None else out[2:], dinput=dh)
-        upper = _interleave(dw, db)
-        dz = np.multiply(dh, preacts[0] > 0.0, out=None if out is None else preacts[0])
+    (xs, ys), (n, dx) = cache[0], cache[0][0].shape
+    dz = upstream.reshape(n * n, 1)
+    if len(cache) > 2:
+        h = cache[1]
+        mask = h > 0.0
+        mlp_backward(_upper(net), cache[1:], dz, out=grads[2:], dinput=h)
+        dz = np.multiply(h, mask, out=h)
     dz = dz.reshape(n, n, -1)
     dz_x = dz.sum(axis=1)
-    dw0 = np.empty(net.weights[0].shape) if out is None else out[0]
-    np.matmul(xs.T, dz_x, out=dw0[:dx])
-    np.matmul(ys.T, dz.sum(axis=0), out=dw0[dx:])
-    return [dw0, np.sum(dz_x, axis=0, out=None if out is None else out[1])] + upper
+    np.matmul(xs.T, dz_x, out=grads[0][:dx])
+    np.matmul(ys.T, dz.sum(axis=0), out=grads[0][dx:])
+    np.sum(dz_x, axis=0, out=grads[1])
+    return grads
 
 
-def _interleave(ws, bs):
-    out = []
-    for w, b in zip(ws, bs):
-        out.append(w)
-        out.append(b)
-    return out
+def _upper(net: Mlp) -> Mlp:
+    """The layers of `net` above layer 0."""
+    return Mlp(net.weights[1:], net.biases[1:])
+
+
+def _nets(params) -> tuple:
+    if isinstance(params, CriticParams):
+        return params.nets
+    if isinstance(params, Mlp):
+        return (params,)
+    raise TypeError(f"no parameter layout for {type(params)!r}")
 
 
 def param_arrays(params) -> list:
-    """Flat list of a parameter container's arrays, in a stable order."""
-    if isinstance(params, CriticParams):
-        out = []
-        for net in params.nets:
-            out.extend(_interleave(net.weights, net.biases))
-        return out
-    if isinstance(params, Mlp):
-        return _interleave(params.weights, params.biases)
-    raise TypeError(f"no parameter layout for {type(params)!r}")
+    """Flat list of a parameter container's arrays, in a stable order: each
+    network's layers in turn, a layer's weight before its bias."""
+    return [a for net in _nets(params) for layer in zip(net.weights, net.biases) for a in layer]
 
 
 def with_param_arrays(params, arrays: list):
     """Rebuild a parameter container from a flat array list (inverse of param_arrays)."""
-    arrays = list(arrays)
-
-    def take_mlp(template: Mlp) -> Mlp:
-        n = len(template.weights)
-        ws, bs = [], []
-        for _ in range(n):
-            ws.append(arrays.pop(0))
-            bs.append(arrays.pop(0))
-        return Mlp(ws, bs)
-
+    nets, arrays = _nets(params), list(arrays)
+    size = sum(2 * len(net.weights) for net in nets)
+    if len(arrays) != size:
+        raise ValueError(f"{len(arrays)} arrays for a parameter layout of {size}")
+    taken = iter(arrays)
+    rebuilt = []
+    for net in nets:
+        layers = [(next(taken), next(taken)) for _ in net.weights]
+        rebuilt.append(Mlp([w for w, _ in layers], [b for _, b in layers]))
     if isinstance(params, CriticParams):
-        nets = tuple(take_mlp(net) for net in params.nets)
-        rebuilt = CriticParams(params.form, nets)
-    elif isinstance(params, Mlp):
-        rebuilt = take_mlp(params)
-    else:
-        raise TypeError(f"no parameter layout for {type(params)!r}")
-    if arrays:
-        raise ValueError("array list longer than the parameter layout")
-    return rebuilt
+        return CriticParams(params.form, tuple(rebuilt))
+    return rebuilt[0]
 
 
 def flat_buffer(arrays: list):
@@ -333,9 +328,8 @@ def baseline_backward(net: Mlp, ys: np.ndarray, dlog_a: np.ndarray):
     forward cache it keeps); it stays because perfbench/tracing.py traces
     it by name and its tests require every traced name to exist.
     """
-    out, cache = mlp_forward(net, ys)
-    dw, db = mlp_backward(net, cache, dlog_a[:, None])
-    return _interleave(dw, db)
+    _, cache = mlp_forward(net, ys)
+    return mlp_backward(net, cache, dlog_a[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -509,7 +509,9 @@ class TrainSettings:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        # the critic's shape is checked here for every estimator, trained or not
+        arch = nets.CriticArch(1, 1, form=self.critic_form, hidden=self.hidden, embed=self.embed)
+        object.__setattr__(self, "hidden", arch.hidden)
 
 
 @dataclass

@@ -291,9 +291,18 @@ def test_criterion_7_gradients():
     assert worst < 1e-5, f"worst relative gradient error {worst:.2e}"
 
 
+def _hidden_preactivations(net, x):
+    """Each hidden layer's preactivation, from a forward pass written out here."""
+    preacts = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        preacts.append(x @ w + b)
+        x = np.maximum(preacts[-1], 0.0)
+    return preacts
+
+
 def _kink_distance_mlp(net, data):
-    _, (_, preacts) = mlp_forward(net, data)
-    return min(float(np.abs(z).min()) for z in preacts[:-1]) if len(preacts) > 1 else np.inf
+    preacts = _hidden_preactivations(net, data)
+    return min(float(np.abs(z).min()) for z in preacts) if preacts else np.inf
 
 
 def _kink_distance_critic(params, batch):
@@ -329,10 +338,7 @@ def _decoder_fd_worst(decoder, batch, task):
     resid = batch.xs - mean
     inv_var = np.exp(-decoder.log_var)
     dmean = resid * inv_var / batch.n
-    dw, db = mlp_backward(decoder.net, cache, dmean)
-    analytic = []
-    for w, b in zip(dw, db):
-        analytic.extend([w, b])
+    analytic = mlp_backward(decoder.net, cache, dmean)
     analytic.append(0.5 * ((resid * resid) * inv_var - 1.0).sum(axis=0) / batch.n)
     arrays = param_arrays(decoder.net) + [decoder.log_var]
 

@@ -125,7 +125,24 @@ class TestTrain:
         code = main(["train", "--estimator", "nwj", "--dim", "2",
                      "--out", str(tmp_path)] + FAST)
         assert code == 2
-        assert "target-mi" in capsys.readouterr().err or True
+        assert capsys.readouterr().err == "error: a task needs --rho or --target-mi\n"
+
+    @pytest.mark.parametrize("estimator, bad", [
+        ("nwj", "critic.form=bogus"), ("ba_lower", "critic.form=bogus"),
+        ("ba_lower", "critic.widths=0"), ("ba_upper", "critic.embed=0"),
+        ("ba_upper", "critic.form=bogus"), ("l1out", "critic.widths=0"),
+        ("l1out", "critic.form=bogus")])
+    def test_bad_settings_are_an_input_error_before_writing(self, tmp_path, capsys,
+                                                           monkeypatch, estimator, bad):
+        def never(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(mitk.cli, "train_estimator", never)
+        code = main(["train", "--estimator", estimator, "--dim", "2", "--target-mi", "1",
+                     "--out", str(tmp_path)] + FAST + ["--set", bad])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rho_and_target_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -295,7 +312,17 @@ class TestBench:
                                      ["--set", "adam.lr=inf"], ["--set", "adam.lr=nan"],
                                      ["--set", "adam.beta1=1"], ["--set", "adam.beta2=-0.1"],
                                      ["--set", "adam.eps=0"], ["--set", "adam.eps=inf"],
-                                     ["--set", "smoothing=1.5"], ["--set", "smoothing=-0.1"]])
+                                     ["--set", "smoothing=1.5"], ["--set", "smoothing=-0.1"],
+                                     ["--set", "critic.widths=0"],
+                                     ["--set", "critic.widths=8,-1"],
+                                     ["--estimators", "ba_upper,l1out", "--set",
+                                      "critic.widths=0"],
+                                     ["--estimators", "ba_upper,l1out", "--set",
+                                      "critic.form=bogus"],
+                                     ["--estimators", "ba_upper,l1out", "--set",
+                                      "critic.embed=0"],
+                                     ["--estimators", "ba_lower", "--set",
+                                      "critic.form=bogus"]])
     def test_bad_settings_are_an_input_error_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch, bad):
         def never(*args):
@@ -307,7 +334,7 @@ class TestBench:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "run failed" not in err
-        assert not (tmp_path / "summary.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTableMi:

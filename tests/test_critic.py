@@ -138,13 +138,13 @@ class TestScoreMatrix:
         batch = small_batch(n=n)
         # rows pushed through the networks, read off the inputs in the forward cache
         sep = init_critic(CriticArch(3, 3, form="separable", hidden=(8,), embed=4), seed=0)
-        _, (_, cache_x, _, cache_y, _) = score_matrix_with_cache(sep, batch)
-        assert cache_x[0][0].shape[0] + cache_y[0][0].shape[0] == 2 * n
+        _, (cache_x, cache_y, _) = score_matrix_with_cache(sep, batch)
+        assert cache_x[0].shape[0] + cache_y[0].shape[0] == 2 * n
         joint = init_critic(CriticArch(3, 3, form="joint", hidden=(8,)), seed=0)
-        _, (inputs, _) = score_matrix_with_cache(joint, batch)
+        _, cache = score_matrix_with_cache(joint, batch)
         # the first joint input is the (xs, ys) pair; the hidden layers take n^2 rows
-        assert inputs[0][0] is batch.xs and inputs[0][1] is batch.ys
-        assert inputs[1].shape[0] == n * n
+        assert cache[0][0] is batch.xs and cache[0][1] is batch.ys
+        assert cache[1].shape[0] == n * n
 
 
 class TestBackward:
@@ -209,8 +209,7 @@ def concat_scores_and_grads(net: Mlp, xs, ys, upstream):
     n = xs.shape[0]
     paired = np.concatenate([np.repeat(xs, n, axis=0), np.tile(ys, (n, 1))], axis=1)
     scores, cache = mlp_forward(net, paired)
-    dw, db = mlp_backward(net, cache, upstream.reshape(n * n, 1))
-    return scores.reshape(n, n), [a for pair in zip(dw, db) for a in pair]
+    return scores.reshape(n, n), mlp_backward(net, cache, upstream.reshape(n * n, 1))
 
 
 def nudged(params, seed):
@@ -258,6 +257,145 @@ class TestJointFactoredLayer:
                                 ys=rng.normal(size=(4, widths[1])))
         with pytest.raises(ValueError):
             score_matrix_with_cache(params, batch)
+
+
+def two_list_forward(mlp: Mlp, x):
+    """The forward pass on a two-list cache, (inputs, preacts), which kept every
+    hidden layer's preactivation beside its activation."""
+    inputs, preacts = [x], []
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = np.matmul(inputs[i], w)
+        z += b
+        preacts.append(z)
+        if i < last:
+            inputs.append(np.maximum(z, 0.0))
+    return preacts[-1], (inputs, preacts)
+
+
+def two_list_backward(mlp: Mlp, cache, dout, dinput=None):
+    """The backward pass on a two-list cache, masking on the preactivations;
+    returns (weight gradients, bias gradients)."""
+    inputs, preacts = cache
+    grads_w, grads_b = [None] * len(mlp.weights), [None] * len(mlp.biases)
+    dz = dout
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        grads_w[i] = np.matmul(inputs[i].T, dz)
+        grads_b[i] = np.sum(dz, axis=0)
+        if i > 0:
+            dz = np.multiply(np.matmul(dz, mlp.weights[i].T), preacts[i - 1] > 0.0)
+        elif dinput is not None:
+            np.matmul(dz, mlp.weights[0].T, out=dinput)
+    return [a for layer in zip(grads_w, grads_b) for a in layer]
+
+
+def two_list_scores_and_grads(params: CriticParams, batch, upstream):
+    """Scores and gradients of sum(upstream * scores) from the two-list passes,
+    with the joint layer 0 factored the same way."""
+    xs, ys = batch.xs, batch.ys
+    n = xs.shape[0]
+    if params.form == "separable":
+        x_tower, y_tower = params.nets
+        hx, cache_x = two_list_forward(x_tower, xs)
+        hy, cache_y = two_list_forward(y_tower, ys)
+        return hx @ hy.T, (two_list_backward(x_tower, cache_x, upstream @ hy)
+                           + two_list_backward(y_tower, cache_y, upstream.T @ hx))
+    (net,) = params.nets
+    w, dx = net.weights[0], xs.shape[1]
+    z = np.empty((n * n, w.shape[1]))
+    np.add((xs @ w[:dx])[:, None], ys @ w[dx:] + net.biases[0], out=z.reshape(n, n, -1))
+    upper = Mlp(net.weights[1:], net.biases[1:])
+    scores, dz, grads = z, upstream.reshape(n * n, 1), []
+    if upper.weights:
+        scores, cache = two_list_forward(upper, np.maximum(z, 0.0))
+        dh = np.empty_like(z)
+        grads = two_list_backward(upper, cache, dz, dinput=dh)
+        dz = np.multiply(dh, z > 0.0)
+    dz = dz.reshape(n, n, -1)
+    dz_x = dz.sum(axis=1)
+    dw0 = np.empty(w.shape)
+    np.matmul(xs.T, dz_x, out=dw0[:dx])
+    np.matmul(ys.T, dz.sum(axis=0), out=dw0[dx:])
+    return scores.reshape(n, n), [dw0, np.sum(dz_x, axis=0)] + grads
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def with_dead_units(params):
+    """`params` with the first unit of every hidden layer given zero weights in
+    and a zero bias, so its preactivation is exactly 0 on every row."""
+    for net in params.nets:
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            w[:, 0] = 0.0
+            b[0] = 0.0
+    return params
+
+
+class TestOneArrayCache:
+    """The forward cache keeps one array per layer and the backward masks on
+    the activation; scores and gradients keep the bits of the two-list passes."""
+
+    CASES = {
+        "two_hidden": ((2, 3), (6, 5), 7),
+        "one_layer": ((3, 2), (), 5),
+        "dead_units": ((3, 3), (4, 6), 6),
+    }
+
+    @pytest.mark.parametrize("form", ["joint", "separable"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_two_list_passes_bitwise(self, case, form):
+        (dx, dy), hidden, n = self.CASES[case]
+        params = nudged(init_critic(CriticArch(dx, dy, form=form, hidden=hidden, embed=4),
+                                    seed=3), seed=4)
+        if case == "dead_units":
+            params = with_dead_units(params)
+        rng = np.random.default_rng(5)
+        batch = SimpleNamespace(xs=rng.normal(size=(n, dx)), ys=rng.normal(size=(n, dy)))
+        upstream = rng.normal(size=(n, n))
+        want_scores, want_grads = two_list_scores_and_grads(params, batch, upstream)
+        scores, cache = score_matrix_with_cache(params, batch)
+        assert same_bits(scores, want_scores)
+        grads = backward_from_cache(params, cache, upstream)
+        assert len(grads) == len(want_grads)
+        assert all(same_bits(g, w) for g, w in zip(grads, want_grads))
+        if case == "dead_units":
+            # the ReLU kink at 0 is masked: a dead unit's bias gets no gradient
+            start = 0
+            for net in params.nets:
+                end = start + 2 * len(net.weights)
+                assert all(b[0] == 0.0 for b in grads[start + 1:end - 2:2])
+                start = end
+
+    def test_mlp_passes_match_the_two_list_passes_bitwise(self):
+        net = with_dead_units(nudged(init_critic(
+            CriticArch(4, 4, form="separable", hidden=(5, 6), embed=3), seed=1), seed=2)).nets[0]
+        x = np.random.default_rng(3).normal(size=(9, 4))
+        dout = np.random.default_rng(4).normal(size=(9, 3))
+        want, want_cache = two_list_forward(net, x)
+        got, cache = mlp_forward(net, x)
+        assert same_bits(got, want)
+        assert [a.shape for a in cache] == [x.shape, (9, 5), (9, 6), (9, 3)]
+        want_dinput, dinput = np.empty_like(x), np.empty_like(x)
+        want_grads = two_list_backward(net, want_cache, dout, dinput=want_dinput)
+        grads = mlp_backward(net, cache, dout, dinput=dinput)
+        assert all(same_bits(g, w) for g, w in zip(grads, want_grads))
+        assert same_bits(dinput, want_dinput)
+
+    def test_joint_cache_holds_one_array_per_hidden_layer(self):
+        d, n = 20, 128
+        params = init_critic(CriticArch(d, d, form="joint", hidden=(64, 64)), seed=0)
+        rng = np.random.default_rng(0)
+        batch = SimpleNamespace(xs=rng.normal(size=(n, d)), ys=rng.normal(size=(n, d)))
+        _, cache = score_matrix_with_cache(params, batch)
+
+        def arrays(node):
+            if isinstance(node, np.ndarray):
+                return [node]
+            return [a for child in node for a in arrays(child)]
+
+        assert sum(a.shape == (n * n, 64) for a in arrays(cache)) == 2
 
 
 class TestAdam:
@@ -359,19 +497,16 @@ class TestBuffers:
         n = 7
         upstream = rng.normal(size=(n, n))
 
-        def table_of(cache):
-            return cache[-1] if form == "separable" else cache[1][-1]
-
         cache = None
         for seed in range(3):
             batch = small_batch(n=n, seed=seed)
             want, want_cache = score_matrix_with_cache(params, batch)
             want_grads = backward_from_cache(params, want_cache, upstream)
-            earlier = None if cache is None else table_of(cache)
+            earlier = None if cache is None else cache[-1]
             got, cache = score_matrix_with_cache(params, batch, cache=cache)
             assert np.array_equal(got, want)
             # the table lives in the cache, written over by each forward pass
-            assert np.shares_memory(got, table_of(cache))
+            assert np.shares_memory(got, cache[-1])
             assert earlier is None or np.shares_memory(got, earlier)
             grads = [np.full(a.shape, np.nan) for a in param_arrays(params)]
             backward_from_cache(params, cache, upstream, out=grads)
@@ -399,12 +534,12 @@ class TestBuffers:
         x = np.random.default_rng(1).normal(size=(6, 3))
         _, first = mlp_forward(net, x)
         out, second = mlp_forward(net, 2.0 * x, out=first)
-        held = first[0][1:] + first[1]
-        assert all(a is b for a, b in zip(second[0][1:] + second[1], held))
+        assert len(second) == 4 and second[0] is not first[0]
+        assert all(a is b for a, b in zip(second[1:], first[1:]))
         want, _ = mlp_forward(net, 2.0 * x)
         assert np.array_equal(out, want)
-        dw, db = mlp_backward(net, mlp_forward(net, x)[1], np.ones((6, 2)))
+        want_grads = mlp_backward(net, mlp_forward(net, x)[1], np.ones((6, 2)))
         grads = [np.empty_like(a) for a in param_arrays(net)]
-        mlp_backward(net, mlp_forward(net, x, out=second)[1], np.ones((6, 2)), out=grads)
-        assert all(np.array_equal(g, w) for g, w in zip(grads, [dw[0], db[0], dw[1], db[1],
-                                                               dw[2], db[2]]))
+        got = mlp_backward(net, mlp_forward(net, x, out=second)[1], np.ones((6, 2)), out=grads)
+        assert got is grads
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))

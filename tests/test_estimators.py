@@ -15,7 +15,6 @@ from mitk.critic import (
     CriticParams,
     Mlp,
     init_critic,
-    mlp_forward,
     param_arrays,
 )
 from mitk.estimators import (
@@ -358,14 +357,10 @@ class TestDecoder:
         resid = batch.xs - mean
         inv_var = np.exp(-decoder.log_var)
         dmean = resid * inv_var / batch.n
-        dw, db = nets.mlp_backward(decoder.net, cache, dmean)
-        dlog_var = 0.5 * ((resid * resid) * inv_var - 1.0).sum(axis=0) / batch.n
+        analytic = nets.mlp_backward(decoder.net, cache, dmean)
+        analytic.append(0.5 * ((resid * resid) * inv_var - 1.0).sum(axis=0) / batch.n)
 
         arrays = param_arrays(decoder.net)
-        analytic = []
-        for w, b in zip(dw, db):
-            analytic.extend([w, b])
-        analytic.append(dlog_var)
         h = 1e-5
         worst = 0.0
         for k in range(len(arrays) + 1):
@@ -638,7 +633,16 @@ def _kink_distance(objective, batch):
         runs.append((objective.baseline, batch.ys))
     if objective.decoder is not None:
         runs.append((objective.decoder.net, batch.ys))
-    return min(float(np.abs(z).min()) for net, x in runs for z in mlp_forward(net, x)[1][1][:-1])
+    return min(float(np.abs(z).min()) for net, x in runs for z in _hidden_preactivations(net, x))
+
+
+def _hidden_preactivations(net, x):
+    """Each hidden layer's preactivation, from a forward pass written out here."""
+    preacts = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        preacts.append(x @ w + b)
+        x = np.maximum(preacts[-1], 0.0)
+    return preacts
 
 
 class TestObjectiveGradients:
