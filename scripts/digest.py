@@ -5,7 +5,8 @@ Runs every estimator at both critic forms on three configurations (d=5 with
 batch 16 for 120 steps, d=20 with batch 128 for 6 steps, d=3 with batch 9
 for 120 steps; 1 nat of true information, seed 0) and prints one line per
 run. Two checkouts that print the same overall digest trained the same
-trajectories and parameters bit for bit. Writes no files; BLAS is pinned
+trajectories and parameters bit for bit; the `overall separable` and
+`overall joint` digests cover one critic form's lines each. Writes no files; BLAS is pinned
 to one thread unless the environment already sets it.
 
     PYTHONPATH=src python scripts/digest.py
@@ -38,6 +39,7 @@ def _sha(data: bytes) -> str:
 
 def main() -> None:
     overall = hashlib.sha256()
+    per_form = {form: hashlib.sha256() for form in FORMS}
     for dim, batch, steps, eval_every in CONFIGS:
         task = task_for_target_mi(dim, 1.0)
         for form in FORMS:
@@ -50,8 +52,11 @@ def main() -> None:
                 params = "-" if objective.params is None else _sha(objective.params.tobytes())
                 line = f"d={dim} n={batch} {form:9s} {kind.value:8s} csv={csv} params={params}"
                 overall.update(line.encode())
+                per_form[form].update(line.encode())
                 print(line)
     print(f"overall {overall.hexdigest()}")
+    for form, digest in per_form.items():
+        print(f"overall {form} {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -10,12 +10,14 @@ Buffers: the functions here allocate their results unless given `out=`
 arrays to write into; a forward pass can also write into the cache of an
 earlier one. A forward cache holds one array per layer, the hidden layers'
 activations and not their preactivations, and a backward pass forms the
-signal it passes down in those arrays, using the cache up. A training run owns its buffers: `flat_buffer` packs the
-components' arrays into one flat float64 vector and hands back a view of
-it per array, containers are built once over those views, backward
-writes each gradient into its view of a flat gradient buffer, and
-`adam_update` updates parameters and moments in place. Nothing is kept at
-module level. `adam_step` stays as the functional form: it copies its
+signal it passes down in those arrays, using the cache up. The joint
+critic's passes run over blocks of about _TILE_ROWS pair rows, so one
+block's elementwise work and ReLU masks stay in cache. A training run
+owns its buffers: `flat_buffer` packs the components' arrays into one
+flat float64 vector and hands back a view of it per array, containers
+are built once over those views, backward writes each gradient into its
+view of a flat gradient buffer, and `adam_update` updates parameters and
+moments in place. Nothing is kept at module level. `adam_step` stays as the functional form: it copies its
 inputs and runs the same in-place kernel on the copies.
 """
 
@@ -50,6 +52,10 @@ __all__ = [
     "adam_step",
     "adam_update",
 ]
+
+# pair rows per block of the joint passes: a block's 1024 x 64 float64 layer
+# is 512 KB, so the elementwise passes over it stay in a 2 MB L2 cache
+_TILE_ROWS = 1024
 
 
 @dataclass
@@ -187,8 +193,9 @@ def score_matrix_with_cache(params: CriticParams, batch, cache=None):
     """score_matrix plus the forward cache needed to backpropagate through it.
 
     The joint network's layer 0 splits, [x, y] W + b = x W_x + (y W_y + b),
-    so its n^2 x h preactivation is one broadcast add of two n-row products
-    and the concatenated rows are never built. The joint cache is
+    so its n^2 x h preactivation is a broadcast add of two n-row products
+    and the concatenated rows are never built; the layers run one block of
+    x rows (_blocks) at a time. The joint cache is
     [(xs, ys), h_1, ..., output]: mlp_forward's layout with the pair in
     place of the input, so the layers above layer 0 run on cache[1:]. The
     separable cache is (x tower cache, y tower cache, table).
@@ -210,12 +217,15 @@ def score_matrix_with_cache(params: CriticParams, batch, cache=None):
     (net,) = params.nets
     w, dx = net.weights[0], xs.shape[1]
     rows = [np.empty((n * n, v.shape[1])) for v in net.weights] if cache is None else cache[1:]
-    h = rows[0]
-    np.add((xs @ w[:dx])[:, None], ys @ w[dx:] + net.biases[0], out=h.reshape(n, n, -1))
-    if len(rows) > 1:
-        np.maximum(h, 0.0, out=h)
-    scores, rows = mlp_forward(_upper(net), h, out=rows)
-    return scores.reshape(n, n), [(xs, ys), *rows]
+    ax, ay, upper = xs @ w[:dx], ys @ w[dx:] + net.biases[0], _upper(net)
+    for i0, i1 in _blocks(n):
+        tile = [a[i0 * n:i1 * n] for a in rows]
+        h = tile[0]
+        np.add(ax[i0:i1, None], ay, out=h.reshape(i1 - i0, n, -1))
+        if len(rows) > 1:
+            np.maximum(h, 0.0, out=h)
+        mlp_forward(upper, h, out=tile)
+    return rows[-1].reshape(n, n), [(xs, ys), *rows]
 
 
 def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=None):
@@ -224,6 +234,9 @@ def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=N
     For the joint network, mlp_backward runs the layers above layer 0 and
     carries the signal down to layer 0's n x n x h preactivation gradient dz;
     layer 0's weight gradient is then [xs.T @ dz.sum(1); ys.T @ dz.sum(0)].
+    This runs over the forward's blocks: the first writes the gradients and
+    its part of dz.sum(0), later ones add theirs (so one block keeps the bits
+    of a single pass), and layer 0's products run once after the last.
 
     With `out`, arrays in param_arrays order, the gradients are written
     there. Either way the cache is used up (see mlp_backward); its table
@@ -239,18 +252,35 @@ def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=N
         return grads
     (net,) = params.nets
     (xs, ys), (n, dx) = cache[0], cache[0][0].shape
-    dz = upstream.reshape(n * n, 1)
-    if len(cache) > 2:
-        h = cache[1]
-        mask = h > 0.0
-        mlp_backward(_upper(net), cache[1:], dz, out=grads[2:], dinput=h)
-        dz = np.multiply(h, mask, out=h)
-    dz = dz.reshape(n, n, -1)
-    dz_x = dz.sum(axis=1)
+    upper, dz_x = _upper(net), np.empty((n, grads[1].size))
+    acc = part = [*grads[2:], np.empty_like(dz_x)]  # the layers above, then dz summed over x
+    for i0, i1 in _blocks(n):
+        tile = [a[i0 * n:i1 * n] for a in cache[1:]]
+        dz = upstream[i0:i1].reshape(-1, 1)
+        if len(tile) > 1:
+            h = tile[0]
+            mask = h > 0.0
+            mlp_backward(upper, tile, dz, out=part[:-1], dinput=h)
+            dz = np.multiply(h, mask, out=h)
+        dz = dz.reshape(i1 - i0, n, -1)
+        np.sum(dz, axis=1, out=dz_x[i0:i1])
+        np.sum(dz, axis=0, out=part[-1])
+        if part is acc:
+            part = [np.empty_like(a) for a in acc]
+        else:
+            for a, b in zip(acc, part):
+                a += b
     np.matmul(xs.T, dz_x, out=grads[0][:dx])
-    np.matmul(ys.T, dz.sum(axis=0), out=grads[0][dx:])
+    np.matmul(ys.T, acc[-1], out=grads[0][dx:])
     np.sum(dz_x, axis=0, out=grads[1])
     return grads
+
+
+def _blocks(n: int):
+    """(i0, i1) bounds of the blocks of x rows the joint passes run over, each
+    about _TILE_ROWS pair rows; the last may be shorter."""
+    step = max(1, _TILE_ROWS // n)
+    return [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
 
 
 def _upper(net: Mlp) -> Mlp:

@@ -499,6 +499,7 @@ class TrainSettings:
         # comparisons with NaN are false, so a NaN fails every rule
         for name, ok, rule in (
             ("steps", self.steps >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 2, ">= 2"),
             ("eval_every", self.eval_every >= 1, ">= 1"),
             ("smoothing", 0.0 <= self.smoothing <= 1.0, "in [0, 1]"),

@@ -75,6 +75,8 @@ def rho_for_target_mi(target_mi: float, dim: int) -> float:
     """Correlation producing the requested information at the given dimension."""
     if target_mi < 0:
         raise ValueError("target information must be nonnegative")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     return math.sqrt(-math.expm1(-2.0 * target_mi / dim))
 
 

@@ -917,6 +917,8 @@ def run_probe_suite(trials: int = 1000, seed: int = 0, corrupt: bool = False) ->
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     reports = []
     for probe in _SUITE:
         start = time.perf_counter()

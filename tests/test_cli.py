@@ -66,6 +66,12 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "trials" in captured.err
 
+    def test_negative_seed_is_bad_input(self, capsys):
+        assert main(["verify", "--trials", "5", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
     def test_corrupt_oracle_fails(self, capsys):
         assert main(["verify", "--trials", "20", "--corrupt-oracle"]) == 1
         out = capsys.readouterr().out
@@ -131,7 +137,8 @@ class TestTrain:
         ("nwj", "critic.form=bogus"), ("ba_lower", "critic.form=bogus"),
         ("ba_lower", "critic.widths=0"), ("ba_upper", "critic.embed=0"),
         ("ba_upper", "critic.form=bogus"), ("l1out", "critic.widths=0"),
-        ("l1out", "critic.form=bogus")])
+        ("l1out", "critic.form=bogus"), ("nwj", "dim=0"), ("nwj", "dim=-1"),
+        ("ba_upper", "dim=0"), ("nwj", "seed=-1"), ("ba_upper", "seed=-1")])
     def test_bad_settings_are_an_input_error_before_writing(self, tmp_path, capsys,
                                                            monkeypatch, estimator, bad):
         def never(*args):
@@ -322,7 +329,9 @@ class TestBench:
                                      ["--estimators", "ba_upper,l1out", "--set",
                                       "critic.embed=0"],
                                      ["--estimators", "ba_lower", "--set",
-                                      "critic.form=bogus"]])
+                                      "critic.form=bogus"],
+                                     ["--dim", "0"], ["--dim", "-1"], ["--seed", "-1"],
+                                     ["--set", "seed=-1"]])
     def test_bad_settings_are_an_input_error_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch, bad):
         def never(*args):
@@ -433,6 +442,16 @@ class TestConfigPrecedence:
         assert main(["train", "--estimator", "ba_upper", "--dim", "1", "--rho", "0.5",
                      "--steps", "0", "--batch-size", "16", "--seed", "3",
                      "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--estimator", "nwj", "--target-mi", "1"],
+        ["bench", "--estimators", "nwj,ba_upper", "--seeds", "2", "--target-mi", "1"]])
+    def test_negative_env_seed_is_an_input_error_before_writing(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        monkeypatch.setenv("MITK_SEED", "-1")
+        assert main(command + ["--dim", "2", "--out", str(tmp_path)] + FAST) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_var_sets_default_verify_seed(self, capsys, monkeypatch):
         assert main(["verify", "--trials", "5", "--seed", "4"]) == 0

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mitk.critic
 from mitk.critic import (
     CriticArch,
     CriticParams,
@@ -33,6 +34,16 @@ from mitk.gaussian import GaussianTask, sample, task_for_target_mi
 
 def small_batch(n=8, dim=3, seed=0):
     return sample(GaussianTask(dim, 0.5), n, seed=seed)
+
+
+def ragged_blocks(monkeypatch, n: int) -> None:
+    """Makes the joint passes at batch size n (>= 3) run over blocks of s x
+    rows, s the smallest from 2 up that does not divide n: several blocks,
+    the last one shorter."""
+    s = next(s for s in range(2, n) if n % s)
+    monkeypatch.setattr(mitk.critic, "_TILE_ROWS", n * s)
+    blocks = mitk.critic._blocks(n)
+    assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < s
 
 
 class TestInit:
@@ -168,7 +179,8 @@ class TestBackward:
             assert np.allclose(2.0 * a, b, atol=1e-12)
 
     @pytest.mark.parametrize("form", ["joint", "separable"])
-    def test_gradients_match_finite_differences(self, form):
+    def test_gradients_match_finite_differences(self, form, monkeypatch):
+        ragged_blocks(monkeypatch, 6)
         rng = np.random.default_rng(11)
         arch = CriticArch(2, 2, form=form, hidden=(6, 5), embed=3)
         params = init_critic(arch, seed=8)
@@ -210,6 +222,31 @@ def concat_scores_and_grads(net: Mlp, xs, ys, upstream):
     paired = np.concatenate([np.repeat(xs, n, axis=0), np.tile(ys, (n, 1))], axis=1)
     scores, cache = mlp_forward(net, paired)
     return scores.reshape(n, n), mlp_backward(net, cache, upstream.reshape(n * n, 1))
+
+
+def untiled_scores_and_grads(net: Mlp, xs, ys, upstream):
+    """The joint critic's factored passes in one block: layer 0's n^2 x h
+    preactivation built whole, the layers above run on all n^2 rows at once."""
+    n, dx, w = xs.shape[0], xs.shape[1], net.weights[0]
+    upper = Mlp(net.weights[1:], net.biases[1:])
+    rows = [np.empty((n * n, v.shape[1])) for v in net.weights]
+    h = rows[0]
+    np.add((xs @ w[:dx])[:, None], ys @ w[dx:] + net.biases[0], out=h.reshape(n, n, -1))
+    if len(rows) > 1:
+        np.maximum(h, 0.0, out=h)
+    scores, cache = mlp_forward(upper, h, out=rows)
+    grads = [np.empty_like(a) for a in param_arrays(net)]
+    dz = upstream.reshape(n * n, 1)
+    if len(cache) > 1:
+        mask = h > 0.0
+        mlp_backward(upper, cache, dz, out=grads[2:], dinput=h)
+        dz = np.multiply(h, mask, out=h)
+    dz = dz.reshape(n, n, -1)
+    dz_x = dz.sum(axis=1)
+    np.matmul(xs.T, dz_x, out=grads[0][:dx])
+    np.matmul(ys.T, dz.sum(axis=0), out=grads[0][dx:])
+    np.sum(dz_x, axis=0, out=grads[1])
+    return scores.reshape(n, n), grads
 
 
 def nudged(params, seed):
@@ -397,6 +434,57 @@ class TestOneArrayCache:
 
         assert sum(a.shape == (n * n, 64) for a in arrays(cache)) == 2
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_ragged_blocks_match_the_two_list_passes(self, case, monkeypatch):
+        (dx, dy), hidden, n = self.CASES[case]
+        ragged_blocks(monkeypatch, n)
+        params = with_dead_units(nudged(init_critic(
+            CriticArch(dx, dy, form="joint", hidden=hidden), seed=3), seed=4))
+        rng = np.random.default_rng(5)
+        batch = SimpleNamespace(xs=rng.normal(size=(n, dx)), ys=rng.normal(size=(n, dy)))
+        upstream = rng.normal(size=(n, n))
+        want_scores, want_grads = two_list_scores_and_grads(params, batch, upstream)
+        scores, cache = score_matrix_with_cache(params, batch)
+        assert same_bits(scores, want_scores)
+        grads = backward_from_cache(params, cache, upstream)
+        for got, want in zip(grads, want_grads, strict=True):
+            assert relative_gap(got, want) < 1e-12
+        assert all(b[0] == 0.0 for b in grads[1:-2:2])
+
+
+class TestJointTiles:
+    """The joint passes run over blocks of x rows; summing the gradients block
+    by block reorders their float adds, so they agree with the untiled passes
+    to relative 1e-12, and bit for bit in one block."""
+
+    @staticmethod
+    def tiled_and_untiled(arch, n, seed=5):
+        params = with_dead_units(nudged(init_critic(arch, seed=seed), seed=seed + 1))
+        rng = np.random.default_rng(seed + 2)
+        xs, ys = rng.normal(size=(n, arch.x_dim)), rng.normal(size=(n, arch.y_dim))
+        upstream = rng.normal(size=(n, n))
+        want = untiled_scores_and_grads(params.nets[0], xs, ys, upstream)
+        scores, cache = score_matrix_with_cache(params, SimpleNamespace(xs=xs, ys=ys))
+        return (scores, backward_from_cache(params, cache, upstream)), want
+
+    def test_benchmark_shape_runs_in_blocks_close_to_the_untiled_passes(self):
+        arch, n = CriticArch(20, 20, form="joint", hidden=(64, 64)), 128
+        assert len(mitk.critic._blocks(n)) > 1
+        (scores, grads), (want_scores, want_grads) = self.tiled_and_untiled(arch, n)
+        assert same_bits(scores, want_scores)
+        for got, want in zip(grads, want_grads, strict=True):
+            assert relative_gap(got, want) < 1e-12
+
+    @pytest.mark.parametrize("arch, n", [
+        (CriticArch(20, 20, form="joint", hidden=(64, 64)), 16),
+        (CriticArch(3, 5, form="joint", hidden=(5, 7)), 9),
+        (CriticArch(4, 2, form="joint", hidden=()), 6)])
+    def test_one_block_keeps_the_untiled_bits(self, arch, n):
+        assert mitk.critic._blocks(n) == [(0, n)]
+        (scores, grads), (want_scores, want_grads) = self.tiled_and_untiled(arch, n)
+        assert same_bits(scores, want_scores)
+        assert all(same_bits(g, w) for g, w in zip(grads, want_grads, strict=True))
+
 
 class TestAdam:
     def test_zero_grads_leave_params_alone(self):
@@ -489,7 +577,8 @@ class TestBuffers:
             buffer_views(np.zeros(flat.size + 1), arrays)
 
     @pytest.mark.parametrize("form", ["joint", "separable"])
-    def test_out_buffers_give_the_same_bits(self, form):
+    def test_out_buffers_give_the_same_bits(self, form, monkeypatch):
+        ragged_blocks(monkeypatch, 7)
         rng = np.random.default_rng(4)
         params = init_critic(CriticArch(3, 3, form=form, hidden=(6, 5), embed=4), seed=3)
         params = with_param_arrays(
@@ -515,7 +604,8 @@ class TestBuffers:
 
     @pytest.mark.parametrize("kind", ["dv", "tuba", "nwj", "infonce"])
     def test_joint_step_allocates_less_than_the_paired_input(self, kind):
-        # the concatenated [x_i, y_j] rows alone would take n^2 * 2d float64s
+        # the concatenated [x_i, y_j] rows alone would take n^2 * 2d float64s,
+        # and one n^2 x 64 ReLU mask n^2 * 64 bytes: the passes run in blocks
         d, n = 20, 128
         task = task_for_target_mi(d, 2.0)
         objective = make_objective(kind, task, TrainSettings(batch_size=n, critic_form="joint"))
@@ -527,7 +617,7 @@ class TestBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 2 * d * 8
+        assert peak < n * n * 64
 
     def test_forward_reuses_the_cache_it_is_given(self):
         net = init_mlp((3, 5, 4, 2), np.random.default_rng(0))

@@ -684,7 +684,7 @@ class TestObjectiveGradients:
 
 class TestTrainSettings:
     @pytest.mark.parametrize("field, value", [
-        ("steps", -1), ("batch_size", 1), ("eval_every", 0),
+        ("steps", -1), ("seed", -1), ("batch_size", 1), ("eval_every", 0),
         ("smoothing", -0.1), ("smoothing", 1.5), ("smoothing", math.nan),
         ("lr", 0.0), ("lr", -1e-3), ("lr", math.inf), ("lr", math.nan),
         ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0), ("beta2", math.nan),

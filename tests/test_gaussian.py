@@ -53,6 +53,9 @@ class TestClosedForms:
             GaussianTask(2, 1.0)
         with pytest.raises(ValueError):
             rho_for_target_mi(-1.0, 2)
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="^dim must be >= 1$"):
+                rho_for_target_mi(1.0, dim)
 
 
 class TestSampling:
