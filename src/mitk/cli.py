@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -237,9 +237,8 @@ class SummaryRow:
     violation: bool | None
 
 
-def _bench_one(config: dict, task: GaussianTask, out_dir: Path, tag: str, seed: int):
-    settings = _settings_from_config(config, seed)
-    trajectory = train_estimator(tag, task, settings)
+def _bench_one(settings: TrainSettings, task: GaussianTask, out_dir: Path, tag: str, seed: int):
+    trajectory = train_estimator(tag, task, replace(settings, seed=seed))
     path = out_dir / trajectory_filename(trajectory)
     path.write_text(trajectory_csv_text(trajectory))
     return trajectory
@@ -297,7 +296,7 @@ def _cmd_bench(args) -> int:
     tags = tuple(t.strip() for t in str(config["estimators"]).split(",") if t.strip())
     master = int(config["seed"])
     # bad input (a typo, bad settings) raises here, not in every run of the pool
-    _settings_from_config(config, master)
+    settings = _settings_from_config(config, master)
     for tag in tags:
         EstimatorKind(tag)
     seeds = tuple(master + i for i in range(int(config["seeds"])))
@@ -315,7 +314,7 @@ def _cmd_bench(args) -> int:
     failures = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
-            pool.submit(_bench_one, config, task, out_dir, tag, seed): (tag, seed)
+            pool.submit(_bench_one, settings, task, out_dir, tag, seed): (tag, seed)
             for tag, seed in runs
         }
         for future, (tag, seed) in futures.items():

@@ -16,9 +16,10 @@ block's elementwise work and ReLU masks stay in cache. A training run
 owns its buffers: `flat_buffer` packs the components' arrays into one
 flat float64 vector and hands back a view of it per array, containers
 are built once over those views, backward writes each gradient into its
-view of a flat gradient buffer, and `adam_update` updates parameters and
-moments in place. Nothing is kept at module level. `adam_step` stays as the functional form: it copies its
-inputs and runs the same in-place kernel on the copies.
+view of a flat gradient buffer, and `adam_update` updates that flat
+parameter vector and its moments in place. Nothing is kept at module
+level. `adam_step` stays as the functional form: it copies its inputs and
+runs the same in-place kernel on the copies.
 """
 
 from __future__ import annotations
@@ -371,71 +372,58 @@ def baseline_backward(net: Mlp, ys: np.ndarray, dlog_a: np.ndarray):
 class AdamState:
     """Bias-corrected first/second moment accumulators plus hyperparameters.
 
-    The hyperparameters' defaults are `estimators.TrainSettings`'s. `scratch`
-    holds two work arrays per parameter for `adam_update`; they are allocated
-    on its first call and reused after that.
+    `m` and `v` are float64 arrays shaped like the parameters, and `scratch`
+    is one pair of work arrays for `adam_update`; `init_adam` allocates all
+    three. The hyperparameters' defaults are `estimators.TrainSettings`'s.
     """
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray = field(repr=False, compare=False)
     lr: float
     beta1: float
     beta2: float
     eps: float
     step: int = 0
-    scratch: list = field(default_factory=list, repr=False, compare=False)
 
 
-def init_adam(params: list, lr: float, beta1: float, beta2: float, eps: float) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def init_adam(params: np.ndarray, lr: float, beta1: float, beta2: float, eps: float) -> AdamState:
+    shape = params.shape
+    return AdamState(m=np.zeros(shape), v=np.zeros(shape), scratch=np.empty((2, *shape)),
+                     lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_update(state: AdamState, params: list, grads: list) -> None:
+def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
     """One descent update, in place: params, state.m, state.v and state.step."""
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ValueError("params/grads must match the optimizer state layout")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match param {p.shape}")
-    if len(state.scratch) != len(params):
-        state.scratch = [np.empty((2, *p.shape)) for p in params]
+    if not params.shape == grads.shape == state.m.shape:
+        raise ValueError(f"params {params.shape} and grads {grads.shape} must match "
+                         f"the optimizer state {state.m.shape}")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v, (num, den) in zip(params, grads, state.m, state.v, state.scratch):
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1.0 - b1, out=num)
-        np.add(m, num, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(g, g, out=den)
-        np.multiply(den, 1.0 - b2, out=den)
-        np.add(v, den, out=v)
-        # p -= lr m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - b1**t, out=num)
-        np.multiply(num, state.lr, out=num)
-        np.divide(v, 1.0 - b2**t, out=den)
-        np.sqrt(den, out=den)
-        np.add(den, state.eps, out=den)
-        np.divide(num, den, out=num)
-        np.subtract(p, num, out=p)
+    m, v, (num, den) = state.m, state.v, state.scratch
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+    np.multiply(m, b1, out=m)
+    np.multiply(grads, 1.0 - b1, out=num)
+    np.add(m, num, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(grads, grads, out=den)
+    np.multiply(den, 1.0 - b2, out=den)
+    np.add(v, den, out=v)
+    # p -= lr m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - b1**t, out=num)
+    np.multiply(num, state.lr, out=num)
+    np.divide(v, 1.0 - b2**t, out=den)
+    np.sqrt(den, out=den)
+    np.add(den, state.eps, out=den)
+    np.divide(num, den, out=num)
+    np.subtract(params, num, out=params)
     state.step = t
 
 
-def adam_step(state: AdamState, params: list, grads: list):
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     """One descent update; returns (new state, new params), inputs untouched."""
-    new_state = replace(
-        state,
-        m=[np.array(m, dtype=np.float64) for m in state.m],
-        v=[np.array(v, dtype=np.float64) for v in state.v],
-        scratch=[],
-    )
-    new_params = [np.array(p, dtype=np.float64) for p in params]
+    new_state = replace(state, m=state.m.copy(), v=state.v.copy(),
+                        scratch=np.empty_like(state.scratch))
+    new_params = np.array(params, dtype=np.float64)
     adam_update(new_state, new_params, grads)
     return new_state, new_params

@@ -81,10 +81,6 @@ class EstimatorKind(Enum):
     def is_upper(self) -> bool:
         return self in (EstimatorKind.BA_UPPER_R, EstimatorKind.L1OUT)
 
-    @property
-    def needs_training(self) -> bool:
-        return self not in (EstimatorKind.BA_UPPER_R, EstimatorKind.L1OUT)
-
 
 # ---------------------------------------------------------------------------
 # Score-matrix reductions
@@ -602,18 +598,18 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
         records.append((step, value, smoothed))
 
     record(0)
-    if kind.needs_training:
-        adam = nets.init_adam([objective.params], lr=settings.lr, beta1=settings.beta1,
+    if objective.params is not None:
+        adam = nets.init_adam(objective.params, lr=settings.lr, beta1=settings.beta1,
                               beta2=settings.beta2, eps=settings.eps)
     for t in range(settings.steps):
-        if kind.needs_training:
+        if objective.params is not None:
             batch = sample(task, bs, seed, stream=2 * t + 2)
             value = objective.value_and_grad(batch)
             if not math.isfinite(value):
                 raise TrainingDiverged(t, config, "objective", value)
             # Adam descends, the bounds are maximized
             np.negative(objective.grad, out=objective.grad)
-            nets.adam_update(adam, [objective.params], [objective.grad])
+            nets.adam_update(adam, objective.params, objective.grad)
         if (t + 1) % settings.eval_every == 0:
             record(t + 1)
 

@@ -73,11 +73,13 @@ def true_mi(task: GaussianTask) -> float:
 
 def rho_for_target_mi(target_mi: float, dim: int) -> float:
     """Correlation producing the requested information at the given dimension."""
-    if target_mi < 0:
-        raise ValueError("target information must be nonnegative")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return math.sqrt(-math.expm1(-2.0 * target_mi / dim))
+    # NaN fails both tests; past 27 ln 2 (about 18.7) nats per dimension rho rounds to 1
+    if not target_mi >= 0 or not (rho := math.sqrt(-math.expm1(-2.0 * target_mi / dim))) < 1.0:
+        raise ValueError(f"target information must be >= 0 and at most about 18.7 nats per "
+                         f"dimension, got {target_mi!r} at dim {dim}")
+    return rho
 
 
 def task_for_target_mi(dim: int, target_mi: float) -> GaussianTask:

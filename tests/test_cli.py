@@ -151,6 +151,19 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["train", "--estimator", "nwj"],
+                                         ["bench", "--estimators", "nwj"]])
+    @pytest.mark.parametrize("target", ["19", "inf", "nan"])
+    def test_unreachable_target_names_target_and_dim(self, tmp_path, capsys, command, target):
+        # at dim 1 these targets put rho at 1.0 or NaN; the error names what was given
+        code = main(command + ["--dim", "1", "--target-mi", target,
+                               "--out", str(tmp_path)] + FAST)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: target information must be >= 0 and at most about 18.7 nats per "
+            f"dimension, got {float(target)!r} at dim 1\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rho_and_target_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--estimator", "nwj", "--rho", "0.5", "--target-mi", "1"])

@@ -488,65 +488,81 @@ class TestJointTiles:
 
 class TestAdam:
     def test_zero_grads_leave_params_alone(self):
-        params = [np.array([1.0, -2.0]), np.array([[0.5]])]
+        params = np.array([1.0, -2.0, 0.5])
         state = init_adam(params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-        _, new_params = adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-        for p, q in zip(params, new_params):
-            assert np.array_equal(p, q)
+        _, new_params = adam_step(state, params, np.zeros(3))
+        assert np.array_equal(params, new_params)
 
     def test_first_step_magnitude(self):
         # p=0, g=1, lr=0.1: bias correction makes the first step -lr * sign(g)
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = init_adam(params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-        _, new_params = adam_step(state, params, [np.array([1.0])])
-        assert new_params[0][0] == pytest.approx(-0.1, abs=1e-8)
+        _, new_params = adam_step(state, params, np.array([1.0]))
+        assert new_params[0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_constant_gradient_descends_monotonically(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = init_adam(params, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
-        history = [params[0][0]]
+        history = [params[0]]
         for _ in range(20):
-            state, params = adam_step(state, params, [np.array([2.0])])
-            history.append(params[0][0])
+            state, params = adam_step(state, params, np.array([2.0]))
+            history.append(params[0])
         assert all(a > b for a, b in zip(history, history[1:]))
 
     def test_shape_mismatch_rejected(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = init_adam(params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8)
         with pytest.raises(ValueError):
-            adam_step(state, params, [np.zeros(4)])
+            adam_step(state, params, np.zeros(4))
 
     def test_state_not_mutated(self):
-        params = [np.array([1.0])]
-        grads = [np.array([1.0])]
+        params = np.array([1.0])
+        grads = np.array([1.0])
         state = init_adam(params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        scratch = state.scratch.copy()
         adam_step(state, params, grads)
         assert state.step == 0
-        assert np.all(state.m[0] == 0.0) and np.all(state.v[0] == 0.0)
-        assert params[0][0] == 1.0 and grads[0][0] == 1.0
+        assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
+        assert state.scratch.tobytes() == scratch.tobytes()
+        assert params[0] == 1.0 and grads[0] == 1.0
+
+    def test_state_is_one_array_per_moment(self):
+        params = np.zeros(7)
+        state = init_adam(params, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        assert state.m.shape == state.v.shape == (7,)
+        assert state.m.dtype == state.v.dtype == np.float64
+        assert state.scratch.shape == (2, 7)
+        scratch = state.scratch
+        adam_update(state, params, np.ones(7))
+        assert state.scratch is scratch  # allocated by init_adam, never again
 
     def test_in_place_kernel_matches_functional_form_bitwise(self):
         rng = np.random.default_rng(21)
-        params = [rng.normal(size=(3, 4)), rng.normal(size=5)]
+        params = rng.normal(size=17)
         state = init_adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-        flat = [p.copy() for p in params]
+        flat = params.copy()
         in_place = init_adam(flat, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         for _ in range(5):
-            grads = [rng.normal(scale=10.0, size=p.shape) for p in params]
-            kept = [g.copy() for g in grads]
+            grads = rng.normal(scale=10.0, size=params.shape)
+            kept = grads.copy()
             state, params = adam_step(state, params, grads)
             adam_update(in_place, flat, grads)
-            assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+            assert same_bits(grads, kept)
             assert in_place.step == state.step
-            for a, b in zip(params + state.m + state.v, flat + in_place.m + in_place.v):
-                assert np.array_equal(a, b)
+            for a, b in ((params, flat), (state.m, in_place.m), (state.v, in_place.v)):
+                assert same_bits(a, b)
 
     def test_in_place_kernel_rejects_mismatch_before_writing(self):
-        params = [np.zeros(3), np.zeros(2)]
-        state = init_adam(params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8)
-        with pytest.raises(ValueError):
-            adam_update(state, params, [np.ones(3), np.ones(4)])
-        assert state.step == 0 and np.all(params[0] == 0.0) and np.all(state.m[0] == 0.0)
+        state = init_adam(np.zeros(3), lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_update(state, np.zeros(3), np.ones(3))  # moments away from zero
+        m, v = state.m.copy(), state.v.copy()
+        # grads, params, and both against the state
+        for params_size, grads_size in ((3, 4), (4, 3), (4, 4)):
+            params = np.full(params_size, 0.5)
+            with pytest.raises(ValueError, match="optimizer state"):
+                adam_update(state, params, np.ones(grads_size))
+            assert state.step == 1 and np.all(params == 0.5)
+            assert same_bits(state.m, m) and same_bits(state.v, v)
 
 
 class TestParamArrays:

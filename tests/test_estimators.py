@@ -439,23 +439,31 @@ class TestTraining:
         monkeypatch.setattr(nets, "with_param_arrays",
                             lambda *args: rebuilds.append(1) or real_rebuild(*args))
         monkeypatch.setattr(nets, "adam_update",
-                            lambda state, params, grads: updated.append(params[0])
+                            lambda state, params, grads: updated.append((params, grads))
                             or real_update(state, params, grads))
         _, objective = train_estimator("tuba", task, settings, return_components=True)
         assert len(rebuilds) == 2  # critic and baseline, once per run
-        assert len(updated) == 5 and all(flat is updated[0] for flat in updated)
+        # every step hands Adam the objective's own flat vectors, not copies
+        assert len(updated) == 5
+        assert all(p is objective.params and g is objective.grad for p, g in updated)
         arrays = param_arrays(objective.critic) + param_arrays(objective.baseline)
-        assert all(np.shares_memory(a, updated[0]) for a in arrays)
+        assert all(np.shares_memory(a, objective.params) for a in arrays)
         fresh = param_arrays(init_critic(CriticArch(2, 2, hidden=(8,), embed=4), seed=1))
         assert not np.array_equal(arrays[0], fresh[0])  # the views saw the updates
 
-    def test_kind_direction_flags(self):
+    def test_kind_direction_flags(self, monkeypatch):
         assert EstimatorKind.BA_UPPER_R.is_upper
         assert EstimatorKind.L1OUT.is_upper
         for kind in (EstimatorKind.DV, EstimatorKind.TUBA, EstimatorKind.NWJ,
                      EstimatorKind.INFONCE, EstimatorKind.BA_LOWER):
             assert not kind.is_upper
-        assert not EstimatorKind.BA_UPPER_R.needs_training
+        # the upper bounds have nothing to train: their runs never step Adam
+        updated = []
+        monkeypatch.setattr(nets, "adam_update", lambda *args: updated.append(args))
+        settings = TrainSettings(steps=3, batch_size=8, eval_every=1, hidden=(4,), embed=2)
+        for kind in (EstimatorKind.BA_UPPER_R, EstimatorKind.L1OUT):
+            assert len(train_estimator(kind, GaussianTask(2, 0.5), settings).records) == 4
+        assert updated == []
 
 
 class TestBoundSoundness:

@@ -51,11 +51,15 @@ class TestClosedForms:
             GaussianTask(0, 0.5)
         with pytest.raises(ValueError):
             GaussianTask(2, 1.0)
-        with pytest.raises(ValueError):
-            rho_for_target_mi(-1.0, 2)
         for dim in (0, -1):
             with pytest.raises(ValueError, match="^dim must be >= 1$"):
                 rho_for_target_mi(1.0, dim)
+        # rho rounds to 1 past 27 ln 2 nats per dimension; NaN fails every comparison
+        for target, dim in ((19.0, 1), (38.0, 2), (math.inf, 1), (math.inf, 20),
+                            (math.nan, 1), (-1.0, 2)):
+            with pytest.raises(ValueError, match=f"got {target!r} at dim {dim}$"):
+                rho_for_target_mi(target, dim)
+        assert rho_for_target_mi(18.7, 1) < 1.0
 
 
 class TestSampling:
