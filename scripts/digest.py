@@ -1,26 +1,33 @@
-"""Bit-identity digests of training: one sha256 per trajectory CSV and per
-trained flat-parameter vector, plus one overall digest.
+"""Bit-identity digests of training and of `mitk verify`: one sha256 per
+trajectory CSV, per trained flat-parameter vector and per verify stdout, plus
+overall digests.
 
 Runs every estimator at both critic forms on three configurations (d=5 with
 batch 16 for 120 steps, d=20 with batch 128 for 6 steps, d=3 with batch 9
 for 120 steps; 1 nat of true information, seed 0) and prints one line per
 run. Two checkouts that print the same overall digest trained the same
 trajectories and parameters bit for bit; the `overall separable` and
-`overall joint` digests cover one critic form's lines each. Writes no files; BLAS is pinned
-to one thread unless the environment already sets it.
+`overall joint` digests cover one critic form's lines each. Then `mitk verify`
+runs at --trials 0/20/100/1000 with --seed 0 and 7, and with --corrupt-oracle;
+each run prints its exit code and stdout digest, and `overall verify` covers
+those lines. Writes no files; BLAS is pinned to one thread unless the
+environment already sets it.
 
     PYTHONPATH=src python scripts/digest.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from mitk.estimators import (  # noqa: E402  (after the BLAS thread pin)
+from mitk.cli import main as mitk_main  # noqa: E402  (after the BLAS thread pin)
+from mitk.estimators import (  # noqa: E402
     EstimatorKind,
     TrainSettings,
     train_estimator,
@@ -31,6 +38,9 @@ from mitk.gaussian import task_for_target_mi  # noqa: E402
 FORMS = ("separable", "joint")
 # (dim, batch size, steps, eval_every)
 CONFIGS = ((5, 16, 120, 20), (20, 128, 6, 3), (3, 9, 120, 20))
+VERIFY_RUNS = tuple(("--trials", str(trials), "--seed", str(seed))
+                    for trials in (0, 20, 100, 1000) for seed in (0, 7))
+VERIFY_RUNS += (("--trials", "20", "--seed", "0", "--corrupt-oracle"),)
 
 
 def _sha(data: bytes) -> str:
@@ -57,6 +67,15 @@ def main() -> None:
     print(f"overall {overall.hexdigest()}")
     for form, digest in per_form.items():
         print(f"overall {form} {digest.hexdigest()}")
+    verify = hashlib.sha256()
+    for args in VERIFY_RUNS:
+        out = io.StringIO()  # the per-theorem seconds on stderr are dropped
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = mitk_main(["verify", *args])
+        line = f"verify {' '.join(args)} exit={code} stdout={_sha(out.getvalue().encode())}"
+        verify.update(line.encode())
+        print(line)
+    print(f"overall verify {verify.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@
 All quantities are in nats. Sums are accumulated with compensated (exact)
 summation, so the classical identities hold to within a few ulp instead of
 accumulating O(cells) rounding error, and results are independent of
-traversal order. Each table (`Pmf`, `JointPmf2`, `JointPmf3`, `CondPmf`, and
-the array `mi_chain_rule_terms` takes) passes one validator at construction:
+traversal order. Each table a caller builds (`Pmf`, `JointPmf2`, `JointPmf3`,
+`CondPmf`, and the array `mi_chain_rule_terms` takes) passes one validator:
 its entries form a rectangular array of finite, nonnegative numbers shaped
 like the alphabet lengths, it is nonempty, each alphabet's labels are hashable
 and unique, and its mass (each row's for `CondPmf`) is 1 within MASS_ATOL; a
 failure is a ValueError that names the table. Nothing is renormalized
 silently: a caller that wants a normalized table must normalize it first.
+Tables derived here from validated tables (marginals, transposes, products of
+factors, mixtures) are not validated again.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ def _validated(probs, alphabets: tuple | None, what: str, row_sums: bool = False
         raise ValueError(f"{what} probs have shape {arr.shape}, alphabet lengths are {shape}")
     if arr.size == 0:
         raise ValueError(f"{what} probs must be nonempty")
-    if np.any(arr < 0):
-        raise ValueError(f"{what} probs must be nonnegative")
-    if not np.all(np.isfinite(arr)):
+    if not (arr.min() >= 0.0 and arr.max() < math.inf):  # false on NaN too
+        if np.any(arr < 0):
+            raise ValueError(f"{what} probs must be nonnegative")
         raise ValueError(f"{what} probs must be finite")
     for labels, count in zip(alphabets, distinct):
         if count != len(labels):
@@ -97,6 +99,15 @@ def _validated(probs, alphabets: tuple | None, what: str, row_sums: bool = False
             raise ValueError(f"{what} probs{where} must sum to 1 within {MASS_ATOL}, got {total!r}")
     arr.setflags(write=False)
     return arr
+
+
+def _derived(cls, *fields):
+    """`cls(*fields)` for fields computed off validated tables, without `_validated`."""
+    table = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(table, name, value)
+    table.probs.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +144,10 @@ class JointPmf2:
         if axis not in (0, 1):
             raise ValueError("axis must be 0 or 1")
         labels = self.row_alphabet if axis == 0 else self.col_alphabet
-        return Pmf(labels, self.probs.sum(axis=1 - axis))
+        return _derived(Pmf, labels, self.probs.sum(axis=1 - axis))
 
     def transpose(self) -> "JointPmf2":
-        return JointPmf2(self.col_alphabet, self.row_alphabet, self.probs.T)
+        return _derived(JointPmf2, self.col_alphabet, self.row_alphabet, self.probs.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +172,7 @@ class JointPmf3:
         table = self.probs.sum(axis=drop)
         if axis_a > axis_b:
             table = table.T
-        return JointPmf2(self.alphabets[axis_a], self.alphabets[axis_b], table)
+        return _derived(JointPmf2, self.alphabets[axis_a], self.alphabets[axis_b], table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +195,8 @@ def joint_from_factors(px: Pmf, channel: CondPmf) -> JointPmf2:
     """Materialize P(x, y) = P(x) * P(y|x)."""
     if px.alphabet != channel.given_alphabet:
         raise ValueError("channel given-alphabet must match px alphabet")
-    return JointPmf2(px.alphabet, channel.target_alphabet, px.probs[:, None] * channel.probs)
+    probs = px.probs[:, None] * channel.probs
+    return _derived(JointPmf2, px.alphabet, channel.target_alphabet, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +340,8 @@ def mi_from_divergence(j: JointPmf2) -> float:
     px = j.probs.sum(axis=1)
     py = j.probs.sum(axis=0)
     pairs = tuple((r, c) for r in j.row_alphabet for c in j.col_alphabet)
-    joint = Pmf(pairs, j.probs.ravel())
-    product = Pmf(pairs, np.outer(px, py).ravel())
+    joint = _derived(Pmf, pairs, j.probs.ravel())
+    product = _derived(Pmf, pairs, np.outer(px, py).ravel())
     return kl_divergence(joint, product)
 
 

@@ -21,6 +21,7 @@ from .discrete import (
     JointPmf3,
     Pmf,
     _clip_residue,
+    _derived,
     _exact_sum,
     conditional_mutual_information,
     entropy,
@@ -179,7 +180,7 @@ def markov_joint(spec: MarkovChainSpec) -> JointPmf3:
         spec.py_given_x.target_alphabet,
         spec.pz_given_y.target_alphabet,
     )
-    return JointPmf3(alphabets, table)
+    return _derived(JointPmf3, alphabets, table)
 
 
 def _processing_pair(joint: JointPmf3) -> tuple:
@@ -236,7 +237,7 @@ def golden_decomposition(j: JointPmf2, aux: Pmf, axis: int = 0) -> tuple:
             break
         terms.append(w * row)
     conditional_term = math.fsum(terms)
-    penalty_term = kl_divergence(Pmf(target_alphabet, probs.sum(axis=1)), aux)
+    penalty_term = kl_divergence(_derived(Pmf, target_alphabet, probs.sum(axis=1)), aux)
     return conditional_term, penalty_term
 
 
@@ -471,14 +472,22 @@ def gyp_mi_supremum(j: JointPmf2, max_blocks: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _mixture(t1: np.ndarray, t2: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha t1 + (1 - alpha) t2: a distribution (each row one) when t1 and t2 are."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alphas must lie in [0, 1]")
+    if t1.shape != t2.shape:
+        raise ValueError(f"mixed tables must share a shape, got {t1.shape} and {t2.shape}")
+    return alpha * t1 + (1.0 - alpha) * t2
+
+
 def _mix_pmf(p1: Pmf, p2: Pmf, alpha: float) -> Pmf:
-    return Pmf(p1.alphabet, alpha * p1.probs + (1.0 - alpha) * p2.probs)
+    return _derived(Pmf, p1.alphabet, _mixture(p1.probs, p2.probs, alpha))
 
 
 def _mix_cond(c1: CondPmf, c2: CondPmf, alpha: float) -> CondPmf:
-    return CondPmf(
-        c1.given_alphabet, c1.target_alphabet, alpha * c1.probs + (1.0 - alpha) * c2.probs
-    )
+    return _derived(CondPmf, c1.given_alphabet, c1.target_alphabet,
+                    _mixture(c1.probs, c2.probs, alpha))
 
 
 def _kl_convexity(cases) -> tuple:
@@ -489,8 +498,6 @@ def _kl_convexity(cases) -> tuple:
         d1 = kl_divergence(p1, q1)
         d2 = kl_divergence(p2, q2)
         for alpha in alphas:
-            if not 0.0 <= alpha <= 1.0:
-                raise ValueError("alphas must lie in [0, 1]")
             lhs = kl_divergence(_mix_pmf(p1, p2, alpha), _mix_pmf(q1, q2, alpha))
             rhs = alpha * d1 + (1.0 - alpha) * d2
             worst.update(lhs - rhs, {"alpha": alpha, "p1": p1.probs, "p2": p2.probs,

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config precedence, reproducible artifacts."""
 
+import hashlib
 import math
 import os
 import re
@@ -44,6 +45,17 @@ T13 gelfand-yaglom-perez       trials=5      worst_slack=+0.000e+00  pass
 """
 
 
+# sha256 of `mitk verify` stdout and its exit code, for each argument list
+GOLDEN_VERIFY_DIGESTS = {
+    ("--trials", "20", "--seed", "0"):
+        ("7f2375c669e853345e2b1b89df04539b879caf775591b9b20ebc66ff6c737e54", 0),
+    ("--trials", "20", "--seed", "7"):
+        ("b530b94e42e8278125a7dcd5cb5a4440a6f5391da4064e5038d9ab270a731ed1", 0),
+    ("--trials", "20", "--seed", "0", "--corrupt-oracle"):
+        ("c47e920757e862235285c6f4038d19fbdbc8da480d255e866ff12c247dbe1a3d", 1),
+}
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--trials", "40", "--seed", "0"]) == 0
@@ -59,6 +71,12 @@ class TestVerify:
     def test_report_lines_are_golden(self, capsys):
         assert main(["verify", "--trials", "100", "--seed", "0"]) == 0
         assert capsys.readouterr().out == GOLDEN_VERIFY_100_SEED0
+
+    @pytest.mark.parametrize("args", GOLDEN_VERIFY_DIGESTS)
+    def test_report_digest_is_golden(self, capsys, args):
+        code = main(["verify", *args])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (digest, code) == GOLDEN_VERIFY_DIGESTS[args]
 
     def test_negative_trials_is_bad_input(self, capsys):
         assert main(["verify", "--trials", "-5"]) == 2

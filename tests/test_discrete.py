@@ -99,6 +99,9 @@ BAD_INPUTS = {
     "negative": lambda p, a: (_bump(p, 0.75, -0.75), a),
     "nan": lambda p, a: (_bump(p, math.nan), a),
     "inf": lambda p, a: (_bump(p, math.inf), a),
+    "-inf": lambda p, a: (_bump(p, -math.inf), a),
+    # NaN first in scan order: the sign message must still win
+    "negative-nan": lambda p, a: (_bump(p, math.nan, -0.75), a),
     "duplicate-labels": lambda p, a: (p, ((a[0][0],) * len(a[0]),) + a[1:]),
     "mass-off-1e-11": lambda p, a: (_bump(p, 1e-11), a),
     # for CondPmf the first row stays a distribution and only the last is off
@@ -116,6 +119,16 @@ NOT_EXPRESSIBLE = {
 }
 
 
+# the exact refusal of each sign or finiteness fault, after the table's name
+SIGN_AND_FINITENESS = {
+    "negative": "must be nonnegative",
+    "nan": "must be finite",
+    "inf": "must be finite",
+    "-inf": "must be nonnegative",
+    "negative-nan": "must be nonnegative",
+}
+
+
 class TestConstruction:
     @pytest.mark.parametrize("name,bad", [
         (name, bad) for name in CONSTRUCTORS for bad in BAD_INPUTS
@@ -127,6 +140,17 @@ class TestConstruction:
         # the error names the table; the text parser's own errors name a row of the text
         with pytest.raises(ValueError, match=None if name == "parse_joint_table" else name):
             build(probs, alphabets)
+
+    @pytest.mark.parametrize("name,bad", [
+        (name, bad) for name in CONSTRUCTORS for bad in SIGN_AND_FINITENESS
+    ])
+    def test_sign_and_finiteness_messages(self, name, bad):
+        base, build = CONSTRUCTORS[name]
+        probs, alphabets = BAD_INPUTS[bad](base, _alphabets(base.shape))
+        what = "JointPmf2" if name == "parse_joint_table" else name
+        with pytest.raises(ValueError) as info:
+            build(probs, alphabets)
+        assert str(info.value) == f"{what} probs {SIGN_AND_FINITENESS[bad]}"
 
     @pytest.mark.parametrize("name", CONSTRUCTORS)
     def test_mass_within_tolerance_is_kept_as_given(self, name):
@@ -464,3 +488,12 @@ class TestFactorHelpers:
         w = random_cond(rng, 3, 2)
         j = joint_from_factors(px, w)
         assert np.allclose(j.probs, px.probs[:, None] * w.probs, atol=0)
+
+    def test_joint_from_factors_takes_factors_within_tolerance(self):
+        # each factor is 0.9e-12 short of mass 1, so their product is 1.8e-12
+        # short; it is not a table to validate again, only a product of two
+        short = [0.5, 0.5 - 0.9e-12]
+        px = Pmf(("a", "b"), short)
+        w = CondPmf(("a", "b"), ("c", "d"), [short, short])
+        j = joint_from_factors(px, w)
+        assert j.probs.tobytes() == (px.probs[:, None] * w.probs).tobytes()

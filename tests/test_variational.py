@@ -1,21 +1,26 @@
 """Variational identities, suprema, and the theorem probe suite."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.special
 
 import mitk.variational
+import mitk.discrete
 from mitk.discrete import (
     CondPmf,
     JointPmf2,
     JointPmf3,
     Pmf,
+    joint_from_factors,
     kl_divergence,
+    mi_from_divergence,
     mutual_information,
+    random_cond,
     random_joint2,
+    random_joint3,
     random_pmf,
 )
 from mitk.variational import (
@@ -379,6 +384,21 @@ class TestCurvatureProbes:
         with pytest.raises(ValueError):
             kl_convexity_probe(pair, pair, alphas=(1.5,))
 
+    def test_mixtures_stay_distributions(self):
+        # a mixture is not validated again, so its weight and shapes are checked
+        rng = np.random.default_rng(29)
+        px = random_pmf(rng, 2, labels=("g0", "g1"))
+        w = random_cond(rng, 2, 2, labels=(("g0", "g1"), ("t0", "t1")))
+        with pytest.raises(ValueError, match=r"alphas must lie in \[0, 1\]"):
+            mi_concavity_convexity_probe((px, px), (w, w), alphas=(1.5,))
+        # one-symbol tables would broadcast against two-symbol ones
+        one = Pmf(("g0",), [1.0])
+        with pytest.raises(ValueError, match="must share a shape"):
+            kl_convexity_probe((px, px), (one, one))
+        sure = CondPmf(("g0", "g1"), ("t0",), [[1.0], [1.0]])
+        with pytest.raises(ValueError, match="must share a shape"):
+            mi_concavity_convexity_probe((px, px), (w, sure))
+
 
 class TestJensen:
     def test_affine_is_tight(self):
@@ -431,6 +451,16 @@ class TestMarkovAndDpi:
                     )
                     assert joint.probs[a, b, c] == expected
 
+    def test_factors_within_tolerance_make_a_chain(self):
+        # each factor is 0.9e-12 short of mass 1, their product 2.7e-12 short
+        short = [0.5, 0.5 - 0.9e-12]
+        px = Pmf(("x0", "x1"), short)
+        pyx = CondPmf(("x0", "x1"), ("y0", "y1"), [short, short])
+        pzy = CondPmf(("y0", "y1"), ("z0", "z1"), [short, short])
+        joint = markov_joint(MarkovChainSpec(px, pyx, pzy))
+        expected = px.probs[:, None, None] * pyx.probs[:, :, None] * pzy.probs[None, :, :]
+        assert joint.probs.tobytes() == expected.tobytes()
+
     def test_chain_alphabet_consistency_enforced(self):
         px = Pmf(("x0", "x1"), [0.5, 0.5])
         bad = CondPmf(("w0", "w1"), ("y0", "y1"), [[0.5, 0.5], [0.5, 0.5]])
@@ -457,6 +487,89 @@ class TestMarkovAndDpi:
             )
             ixy, ixz = dpi_check(spec)
             assert ixy >= ixz - 1e-12
+
+
+def _assert_same_table(derived, built):
+    """`derived` is what the validating constructor makes of the same fields."""
+    assert type(derived) is type(built)
+    assert not derived.probs.flags.writeable
+    assert derived.probs.tobytes() == built.probs.tobytes()
+    assert (derived.probs.dtype, derived.probs.shape, derived.probs.strides) == (
+        built.probs.dtype, built.probs.shape, built.probs.strides)
+    for f in fields(built):
+        if f.name != "probs":
+            assert type(getattr(derived, f.name)) is tuple
+            assert getattr(derived, f.name) == getattr(built, f.name)
+
+
+class TestDerivedTables:
+    """Tables derived from validated tables skip the validator, and nothing else."""
+
+    def test_marginals_and_transpose(self):
+        j = random_joint2(np.random.default_rng(41), 3, 4)
+        for table in (j, j.transpose()):  # C and Fortran layouts
+            rows, cols, probs = table.row_alphabet, table.col_alphabet, table.probs
+            _assert_same_table(table.marginal(0), Pmf(rows, probs.sum(axis=1)))
+            _assert_same_table(table.marginal(1), Pmf(cols, probs.sum(axis=0)))
+            _assert_same_table(table.transpose(), JointPmf2(cols, rows, probs.T))
+
+    def test_pair_marginals(self):
+        j = random_joint3(np.random.default_rng(43), 2, 3, 4)
+        for a in range(3):
+            for b in range(3):
+                if a != b:
+                    (drop,) = {0, 1, 2} - {a, b}
+                    table = j.probs.sum(axis=drop)
+                    table = table.T if a > b else table
+                    built = JointPmf2(j.alphabets[a], j.alphabets[b], table)
+                    _assert_same_table(j.pair_marginal(a, b), built)
+
+    def test_factor_products(self):
+        spec = random_markov_chain(np.random.default_rng(47), 2, 3, 4)
+        px, pyx, pzy = spec.px, spec.py_given_x, spec.pz_given_y
+        built = JointPmf2(px.alphabet, pyx.target_alphabet, px.probs[:, None] * pyx.probs)
+        _assert_same_table(joint_from_factors(px, pyx), built)
+        table = px.probs[:, None, None] * pyx.probs[:, :, None] * pzy.probs[None, :, :]
+        alphabets = (px.alphabet, pyx.target_alphabet, pzy.target_alphabet)
+        _assert_same_table(markov_joint(spec), JointPmf3(alphabets, table))
+
+    def test_mixtures(self):
+        rng = np.random.default_rng(53)
+        p1, p2 = random_pmf(rng, 4), random_pmf(rng, 4)
+        labels = (("g0", "g1"), ("t0", "t1", "t2"))
+        c1, c2 = random_cond(rng, 2, 3, labels=labels), random_cond(rng, 2, 3, labels=labels)
+        for alpha in (0.0, 0.3, 1.0):
+            built = Pmf(p1.alphabet, alpha * p1.probs + (1.0 - alpha) * p2.probs)
+            _assert_same_table(mitk.variational._mix_pmf(p1, p2, alpha), built)
+            built = CondPmf(*labels, alpha * c1.probs + (1.0 - alpha) * c2.probs)
+            _assert_same_table(mitk.variational._mix_cond(c1, c2, alpha), built)
+
+    def test_tables_passed_to_the_divergence(self, monkeypatch):
+        # mi_from_divergence's two flat tables and golden_decomposition's penalty
+        # table reach kl_divergence only; record them there
+        seen = []
+
+        def recording_kl(p, q):
+            seen.append((p, q))
+            return kl_divergence(p, q)
+
+        monkeypatch.setattr(mitk.discrete, "kl_divergence", recording_kl)
+        monkeypatch.setattr(mitk.variational, "kl_divergence", recording_kl)
+        j = random_joint2(np.random.default_rng(59), 3, 2)
+        for table in (j, j.transpose()):
+            rows, cols, probs = table.row_alphabet, table.col_alphabet, table.probs
+            pairs = tuple((r, c) for r in rows for c in cols)
+            product = np.outer(probs.sum(axis=1), probs.sum(axis=0))
+            mi_from_divergence(table)
+            (joint, prod), = seen
+            _assert_same_table(joint, Pmf(pairs, probs.ravel()))
+            _assert_same_table(prod, Pmf(pairs, product.ravel()))
+            for axis, labels in ((0, rows), (1, cols)):
+                seen.clear()
+                golden_decomposition(table, table.marginal(axis), axis=axis)
+                oriented = probs if axis == 0 else probs.T
+                _assert_same_table(seen[0][0], Pmf(labels, oriented.sum(axis=1)))
+            seen.clear()
 
 
 class TestProbeSuite:
