@@ -10,8 +10,10 @@ trajectories and parameters bit for bit; the `overall separable` and
 `overall joint` digests cover one critic form's lines each. Then `mitk verify`
 runs at --trials 0/20/100/1000 with --seed 0 and 7, and with --corrupt-oracle;
 each run prints its exit code and stdout digest, and `overall verify` covers
-those lines. Writes no files; BLAS is pinned to one thread unless the
-environment already sets it.
+those lines. Last, `overall checks` covers every check of `run_probe_suite` on
+the same runs: theorem, name, worst as float hex, tolerance, passed and the
+witness (its keys, and its arrays' dtypes, shapes and bytes). Writes no
+files; BLAS is pinned to one thread unless the environment already sets it.
 
     PYTHONPATH=src python scripts/digest.py
 """
@@ -22,6 +24,8 @@ import contextlib
 import hashlib
 import io
 import os
+
+import numpy as np
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -34,17 +38,36 @@ from mitk.estimators import (  # noqa: E402
     trajectory_csv_text,
 )
 from mitk.gaussian import task_for_target_mi  # noqa: E402
+from mitk.variational import run_probe_suite  # noqa: E402
 
 FORMS = ("separable", "joint")
 # (dim, batch size, steps, eval_every)
 CONFIGS = ((5, 16, 120, 20), (20, 128, 6, 3), (3, 9, 120, 20))
-VERIFY_RUNS = tuple(("--trials", str(trials), "--seed", str(seed))
-                    for trials in (0, 20, 100, 1000) for seed in (0, 7))
-VERIFY_RUNS += (("--trials", "20", "--seed", "0", "--corrupt-oracle"),)
+# (trials, seed, corrupt)
+VERIFY_RUNS = tuple((trials, seed, False) for trials in (0, 20, 100, 1000) for seed in (0, 7))
+VERIFY_RUNS += ((20, 0, True),)
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _feed(digest, value) -> None:
+    """Feed a witness into `digest`: dict keys, array dtypes, shapes and bytes, floats as hex."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            digest.update(key.encode())
+            _feed(digest, item)
+    elif isinstance(value, tuple):
+        for item in value:
+            _feed(digest, item)
+    elif isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(value.tobytes())
+    elif isinstance(value, float):
+        digest.update(value.hex().encode())
+    else:
+        digest.update(repr(value).encode())  # None, an int, a function's name
 
 
 def main() -> None:
@@ -68,7 +91,8 @@ def main() -> None:
     for form, digest in per_form.items():
         print(f"overall {form} {digest.hexdigest()}")
     verify = hashlib.sha256()
-    for args in VERIFY_RUNS:
+    for trials, seed, corrupt in VERIFY_RUNS:
+        args = ("--trials", str(trials), "--seed", str(seed)) + ("--corrupt-oracle",) * corrupt
         out = io.StringIO()  # the per-theorem seconds on stderr are dropped
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = mitk_main(["verify", *args])
@@ -76,6 +100,14 @@ def main() -> None:
         verify.update(line.encode())
         print(line)
     print(f"overall verify {verify.hexdigest()}")
+    checks = hashlib.sha256()
+    for run in VERIFY_RUNS:
+        for report in run_probe_suite(*run):
+            for check in report.checks:
+                checks.update(f"{report.theorem} {check.name} {float(check.worst).hex()} "
+                              f"{check.tolerance!r} {check.passed}".encode())
+                _feed(checks, check.witness)
+    print(f"overall checks {checks.hexdigest()}")
 
 
 if __name__ == "__main__":

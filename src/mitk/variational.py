@@ -100,32 +100,44 @@ class ProbeReport:
 
     @property
     def worst_slack(self) -> float:
-        return max(self.checks, key=lambda c: c.worst - c.tolerance).worst
+        # a NaN worst is the worst slack of all
+        return max(self.checks, key=lambda c: (math.isnan(c.worst), c.worst - c.tolerance)).worst
 
 
-def _report(probe, trials: int, checks, seconds: float = 0.0) -> ProbeReport:
-    """`probe`'s report under its `_SUITE` id and name; vacuous if it ran no trials."""
+def _report(probe, trials: int, trackers, seconds: float = 0.0) -> ProbeReport:
+    """`probe`'s report under its `_SUITE` id and name, one check per tracker;
+    vacuous if it ran no trials."""
     theorem, name = _SUITE[probe]
     if trials == 0:
         checks = (CheckResult("vacuous", 0.0, 0.0, True),)
+    else:
+        checks = tuple(tracker.check() for tracker in trackers)
     return ProbeReport(theorem, name, trials, checks, seconds)
 
 
 class _Worst:
-    """Tracks the maximum of a signed quantity plus the input that produced it."""
+    """One check: the maximum of a signed quantity plus the input that produced it.
 
-    def __init__(self):
+    A NaN quantity is worse than any number: the first one is kept, and the check fails.
+    """
+
+    def __init__(self, name: str, tolerance: float):
+        self.name = name
+        self.tolerance = tolerance
         self.value = -math.inf
         self.witness = None
 
     def update(self, value, witness):
-        if value > self.value:
+        # NaN compares false both ways: it passes the first test, and once
+        # kept it fails the second
+        if not value <= self.value and self.value == self.value:
             self.value = value
             self.witness = witness
 
-    def check(self, name, tolerance) -> CheckResult:
+    def check(self) -> CheckResult:
         worst = 0.0 if self.value == -math.inf else self.value
-        return CheckResult(name, worst, tolerance, worst <= tolerance, self.witness)
+        return CheckResult(self.name, worst, self.tolerance, worst <= self.tolerance,
+                           self.witness)
 
 
 def _trial_rng(seed: int, probe: int, trial: int):
@@ -472,38 +484,47 @@ def gyp_mi_supremum(j: JointPmf2, max_blocks: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mixture(t1: np.ndarray, t2: np.ndarray, alpha: float) -> np.ndarray:
-    """alpha t1 + (1 - alpha) t2: a distribution (each row one) when t1 and t2 are."""
+def _mix(t1, t2, alpha: float):
+    """alpha t1 + (1 - alpha) t2 for two tables of one type and the same labels:
+    a distribution (each row one) when t1 and t2 are."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alphas must lie in [0, 1]")
-    if t1.shape != t2.shape:
-        raise ValueError(f"mixed tables must share a shape, got {t1.shape} and {t2.shape}")
-    return alpha * t1 + (1.0 - alpha) * t2
+    if t1.probs.shape != t2.probs.shape:
+        raise ValueError(f"mixed tables must share a shape, got {t1.probs.shape} "
+                         f"and {t2.probs.shape}")
+    *names, _ = t1.__dataclass_fields__  # the label fields; probs comes last
+    labels = [getattr(t1, name) for name in names]
+    if type(t1) is not type(t2) or labels != [getattr(t2, name) for name in names]:
+        raise ValueError("mixed tables must share a type and labels")
+    return _derived(type(t1), *labels, alpha * t1.probs + (1.0 - alpha) * t2.probs)
 
 
-def _mix_pmf(p1: Pmf, p2: Pmf, alpha: float) -> Pmf:
-    return _derived(Pmf, p1.alphabet, _mixture(p1.probs, p2.probs, alpha))
+def _chord(worst, f, ends, alphas, witness, concave=False, values=None) -> tuple:
+    """Track f's margin along the chord between `ends` into `worst`; returns f at the ends.
 
-
-def _mix_cond(c1: CondPmf, c2: CondPmf, alpha: float) -> CondPmf:
-    return _derived(CondPmf, c1.given_alphabet, c1.target_alphabet,
-                    _mixture(c1.probs, c2.probs, alpha))
+    Each end is a tuple of tables, mixed place by place. The margin at weight
+    alpha is f(mixture) - (alpha f(end 1) + (1 - alpha) f(end 2)), negated
+    for a concave f, so positive is the forbidden side; its witness is
+    `witness` with alpha first. `values`, if given, are f at the ends.
+    """
+    end1, end2 = ends
+    v1, v2 = values or (f(*end1), f(*end2))
+    for alpha in alphas:
+        lhs = f(*[_mix(t1, t2, alpha) for t1, t2 in zip(end1, end2)])
+        rhs = alpha * v1 + (1.0 - alpha) * v2
+        worst.update(rhs - lhs if concave else lhs - rhs, {"alpha": alpha, **witness})
+    return v1, v2
 
 
 def _kl_convexity(cases) -> tuple:
-    """(mixtures tried, checks) of joint convexity over (pair1, pair2, alphas) cases."""
-    worst = _Worst()
+    """(mixtures tried, trackers) of joint convexity over (pair1, pair2, alphas) cases."""
+    worst = _Worst("mixture-margin", 1e-12)
     trials = 0
     for (p1, q1), (p2, q2), alphas in cases:
-        d1 = kl_divergence(p1, q1)
-        d2 = kl_divergence(p2, q2)
-        for alpha in alphas:
-            lhs = kl_divergence(_mix_pmf(p1, p2, alpha), _mix_pmf(q1, q2, alpha))
-            rhs = alpha * d1 + (1.0 - alpha) * d2
-            worst.update(lhs - rhs, {"alpha": alpha, "p1": p1.probs, "p2": p2.probs,
-                                     "q1": q1.probs, "q2": q2.probs})
+        _chord(worst, kl_divergence, ((p1, q1), (p2, q2)), alphas,
+               {"p1": p1.probs, "p2": p2.probs, "q1": q1.probs, "q2": q2.probs})
         trials += len(alphas)
-    return trials, (worst.check("mixture-margin", 1e-12),)
+    return trials, (worst,)
 
 
 def kl_convexity_probe(pair1, pair2, alphas=ALPHA_GRID) -> ProbeReport:
@@ -512,30 +533,23 @@ def kl_convexity_probe(pair1, pair2, alphas=ALPHA_GRID) -> ProbeReport:
 
 
 def _mi_curvature(cases) -> tuple:
-    """(mixtures tried, checks) of both curvatures over (px_pair, channel_pair, alphas) cases."""
-    concave = _Worst()
-    convex = _Worst()
+    """(mixtures tried, trackers) of both curvatures over (px_pair, channel_pair, alphas) cases."""
+    concave = _Worst("input-concavity-margin", 1e-12)
+    convex = _Worst("channel-convexity-margin", 1e-12)
     trials = 0
     for (px1, px2), (w1, w2), alphas in cases:
-        base = mutual_information(joint_from_factors(px1, w1))
-        base_px2 = mutual_information(joint_from_factors(px2, w1))
-        for alpha in alphas:
-            lhs = mutual_information(joint_from_factors(_mix_pmf(px1, px2, alpha), w1))
-            rhs = alpha * base + (1.0 - alpha) * base_px2
-            concave.update(rhs - lhs, {"alpha": alpha, "px1": px1.probs, "px2": px2.probs,
-                                       "channel": w1.probs})
-        base_w2 = mutual_information(joint_from_factors(px1, w2))
-        for alpha in alphas:
-            lhs = mutual_information(joint_from_factors(px1, _mix_cond(w1, w2, alpha)))
-            rhs = alpha * base + (1.0 - alpha) * base_w2
-            convex.update(lhs - rhs, {"alpha": alpha, "px": px1.probs, "w1": w1.probs,
-                                      "w2": w2.probs})
+        base, _ = _chord(concave, lambda px: mutual_information(joint_from_factors(px, w1)),
+                         ((px1,), (px2,)), alphas,
+                         {"px1": px1.probs, "px2": px2.probs, "channel": w1.probs}, concave=True)
+
+        def channel_mi(w):
+            return mutual_information(joint_from_factors(px1, w))
+
+        _chord(convex, channel_mi, ((w1,), (w2,)), alphas,
+               {"px": px1.probs, "w1": w1.probs, "w2": w2.probs},
+               values=(base, channel_mi(w2)))
         trials += len(alphas)
-    checks = (
-        concave.check("input-concavity-margin", 1e-12),
-        convex.check("channel-convexity-margin", 1e-12),
-    )
-    return trials, checks
+    return trials, (concave, convex)
 
 
 def mi_concavity_convexity_probe(px_pair, channel_pair, alphas=ALPHA_GRID) -> ProbeReport:
@@ -574,9 +588,9 @@ def _direct_conditional_entropy(table: np.ndarray, given_axes: tuple) -> float:
 
 
 def _probe_entropy_chain(trials, seed, _corrupt):
-    identity = _Worst()
-    subadd = _Worst()
-    identity3 = _Worst()
+    identity = _Worst("chain-identity-2d", 1e-12)
+    subadd = _Worst("subadditivity-margin", 1e-12)
+    identity3 = _Worst("conditional-chain-3d", 1e-10)
     for t in range(trials):
         rng = _trial_rng(seed, 1, t)
         j = random_joint2(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
@@ -589,25 +603,16 @@ def _probe_entropy_chain(trials, seed, _corrupt):
 
         j3 = random_joint3(rng, 2, 3, 2)
         h_xy_given_z = _direct_conditional_entropy(j3.probs, (2,))
-        h_x_given_z = -_exact_sum(
-            rel_entr(
-                j3.probs.sum(axis=1),
-                np.broadcast_to(j3.probs.sum(axis=(0, 1))[None, :], (2, 2)),
-            )
-        )
+        z_marginal = np.broadcast_to(j3.probs.sum(axis=(0, 1))[None, :], (2, 2))
+        h_x_given_z = -_exact_sum(rel_entr(j3.probs.sum(axis=1), z_marginal))
         h_y_given_xz = _direct_conditional_entropy(j3.probs, (0, 2))
         identity3.update(abs(h_xy_given_z - (h_x_given_z + h_y_given_xz)), j3.probs)
-    checks = (
-        identity.check("chain-identity-2d", 1e-12),
-        subadd.check("subadditivity-margin", 1e-12),
-        identity3.check("conditional-chain-3d", 1e-10),
-    )
-    return trials, checks
+    return trials, (identity, subadd, identity3)
 
 
 def _probe_mi_formulas(trials, seed, corrupt):
-    routes = _Worst()
-    symmetry = _Worst()
+    routes = _Worst("formula-agreement", 1e-12)
+    symmetry = _Worst("transpose-symmetry", 0.0)
     for t in range(trials):
         rng = _trial_rng(seed, 2, t)
         j = random_joint2(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
@@ -619,15 +624,11 @@ def _probe_mi_formulas(trials, seed, corrupt):
             via_kl += 1e-3
         routes.update(max(abs(direct - via_kl), abs(direct - via_h)), j.probs)
         symmetry.update(abs(direct - mutual_information(j.transpose())), j.probs)
-    checks = (
-        routes.check("formula-agreement", 1e-12),
-        symmetry.check("transpose-symmetry", 0.0),
-    )
-    return trials, checks
+    return trials, (routes, symmetry)
 
 
 def _probe_mi_chain(trials, seed, _corrupt):
-    worst = _Worst()
+    worst = _Worst("term-sum", 1e-10)
     for t in range(trials):
         rng = _trial_rng(seed, 3, t)
         if t % 2 == 0:
@@ -645,7 +646,7 @@ def _probe_mi_chain(trials, seed, _corrupt):
         )
         total = math.fsum(mi_chain_rule_terms(table))
         worst.update(abs(total - mutual_information(flat)), table)
-    return trials, (worst.check("term-sum", 1e-10),)
+    return trials, (worst,)
 
 
 def _probe_kl_convexity(trials, seed, _corrupt):
@@ -660,18 +661,15 @@ def _probe_kl_convexity(trials, seed, _corrupt):
 
 def _probe_entropy_concavity(trials, seed, _corrupt):
     count = trials // 10
-    worst = _Worst()
+    worst = _Worst("mixture-margin", 1e-12)
     for t in range(count):
         rng = _trial_rng(seed, 5, t)
         n = int(rng.integers(2, 7))
         p1 = random_pmf(rng, n)
         p2 = random_pmf(rng, n, labels=p1.alphabet)
-        h1, h2 = entropy(p1), entropy(p2)
-        for alpha in ALPHA_GRID + tuple(rng.uniform(size=20)):
-            lhs = entropy(_mix_pmf(p1, p2, alpha))
-            rhs = alpha * h1 + (1.0 - alpha) * h2
-            worst.update(rhs - lhs, {"alpha": alpha, "p1": p1.probs, "p2": p2.probs})
-    return count * 31, (worst.check("mixture-margin", 1e-12),)
+        _chord(worst, entropy, ((p1,), (p2,)), ALPHA_GRID + tuple(rng.uniform(size=20)),
+               {"p1": p1.probs, "p2": p2.probs}, concave=True)
+    return count * 31, (worst,)
 
 
 def _probe_mi_curvature(trials, seed, _corrupt):
@@ -695,7 +693,7 @@ _CONVEX_FAMILY = (
 
 
 def _probe_jensen(trials, seed, _corrupt):
-    worst = _Worst()
+    worst = _Worst("gap-margin", 1e-12)
     for t in range(trials):
         rng = _trial_rng(seed, 7, t)
         n = int(rng.integers(2, 8))
@@ -704,13 +702,13 @@ def _probe_jensen(trials, seed, _corrupt):
         name, f = _CONVEX_FAMILY[t % len(_CONVEX_FAMILY)]
         lhs, rhs = jensen_probe(f, p, values)
         worst.update(rhs - lhs, {"f": name, "p": p.probs, "values": values})
-    return trials, (worst.check("gap-margin", 1e-12),)
+    return trials, (worst,)
 
 
 def _probe_divergence_sign(trials, seed, _corrupt):
-    nonneg = _Worst()
-    equality = _Worst()
-    strict = _Worst()
+    nonneg = _Worst("nonnegativity", 1e-12)
+    equality = _Worst("self-divergence", 0.0)
+    strict = _Worst("strict-positivity", 0.0)
     for t in range(trials):
         rng = _trial_rng(seed, 8, t)
         n = int(rng.integers(2, 8))
@@ -723,19 +721,14 @@ def _probe_divergence_sign(trials, seed, _corrupt):
         if tv >= 1e-3:
             # separated inputs must register strictly positive divergence
             strict.update(1e-7 - kl, (p.probs, q.probs))
-    checks = (
-        nonneg.check("nonnegativity", 1e-12),
-        equality.check("self-divergence", 0.0),
-        strict.check("strict-positivity", 0.0),
-    )
-    return trials, checks
+    return trials, (nonneg, equality, strict)
 
 
 def _probe_dpi(trials, seed, _corrupt):
     binary = trials * 10
-    dpi = _Worst()
-    corollary = _Worst()
-    markov = _Worst()
+    dpi = _Worst("processing-margin", 1e-12)
+    corollary = _Worst("conditioning-margin", 1e-12)
+    markov = _Worst("chain-conditional-independence", 1e-12)
     for t in range(binary + trials):
         rng = _trial_rng(seed, 9, t)
         if t < binary:
@@ -751,17 +744,12 @@ def _probe_dpi(trials, seed, _corrupt):
         dpi.update(ixz - ixy, witness)
         corollary.update(ixy_given_z - ixy, witness)
         markov.update(ixz_given_y, witness)
-    checks = (
-        dpi.check("processing-margin", 1e-12),
-        corollary.check("conditioning-margin", 1e-12),
-        markov.check("chain-conditional-independence", 1e-12),
-    )
-    return binary + trials, checks
+    return binary + trials, (dpi, corollary, markov)
 
 
 def _probe_golden(trials, seed, _corrupt):
-    identity = _Worst()
-    optimal = _Worst()
+    identity = _Worst("decomposition-identity", 1e-10)
+    optimal = _Worst("optimal-aux-tightness", 1e-12)
     for t in range(trials):
         rng = _trial_rng(seed, 10, t)
         j = random_joint2(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
@@ -775,63 +763,39 @@ def _probe_golden(trials, seed, _corrupt):
         )
         conditional, penalty = golden_decomposition(j, j.marginal(axis), axis=axis)
         optimal.update(max(abs(penalty), abs(conditional - mutual_information(j))), j.probs)
-    checks = (
-        identity.check("decomposition-identity", 1e-10),
-        optimal.check("optimal-aux-tightness", 1e-12),
-    )
-    return trials, checks
+    return trials, (identity, optimal)
 
 
 def _probe_product_distance(trials, seed, _corrupt):
     count = trials // 10
-    value_dev = _Worst()
-    marginal_dev = _Worst()
-    floor = _Worst()
+    value_dev = _Worst("converged-value", 1e-8)
+    marginal_dev = _Worst("converged-marginals", 1e-8)
+    floor = _Worst("information-floor", 1e-10)
     for t in range(count):
         rng = _trial_rng(seed, 11, t)
         j = random_joint2(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         mi = mutual_information(j)
         qx, qy, value = product_distance_minimize(j)
         value_dev.update(abs(value - mi), j.probs)
-        marginal_dev.update(
-            max(
-                float(np.abs(qx.probs - j.probs.sum(axis=1)).max()),
-                float(np.abs(qy.probs - j.probs.sum(axis=0)).max()),
-            ),
-            j.probs,
-        )
+        marginal_dev.update(max(float(np.abs(qx.probs - j.probs.sum(axis=1)).max()),
+                                float(np.abs(qy.probs - j.probs.sum(axis=0)).max())), j.probs)
         # any product, including the uniform one and random ones, sits at or
         # above the information floor
         n_rows, n_cols = j.probs.shape
-        candidates = [
-            (
-                Pmf(j.row_alphabet, np.full(n_rows, 1.0 / n_rows)),
-                Pmf(j.col_alphabet, np.full(n_cols, 1.0 / n_cols)),
-            ),
-            (qx, qy),
-        ]
-        for _ in range(3):
-            candidates.append(
-                (
-                    random_pmf(rng, n_rows, labels=j.row_alphabet),
-                    random_pmf(rng, n_cols, labels=j.col_alphabet),
-                )
-            )
+        candidates = [(Pmf(j.row_alphabet, np.full(n_rows, 1.0 / n_rows)),
+                       Pmf(j.col_alphabet, np.full(n_cols, 1.0 / n_cols))), (qx, qy)]
+        candidates += [(random_pmf(rng, n_rows, labels=j.row_alphabet),
+                        random_pmf(rng, n_cols, labels=j.col_alphabet)) for _ in range(3)]
         for cx, cy in candidates:
             floor.update(mi - distance_to_product(j, cx, cy), j.probs)
-    checks = (
-        value_dev.check("converged-value", 1e-8),
-        marginal_dev.check("converged-marginals", 1e-8),
-        floor.check("information-floor", 1e-10),
-    )
-    return count, checks
+    return count, (value_dev, marginal_dev, floor)
 
 
 def _probe_dv(trials, seed, _corrupt):
     count = trials // 10
     duality_count = trials * 10
-    supremum = _Worst()
-    duality = _Worst()
+    supremum = _Worst("supremum-gap", 1e-6)
+    duality = _Worst("weak-duality-margin", 1e-12)
     sizes = (2, 4, 8, 16)
     for t in range(count):
         rng = _trial_rng(seed, 12, t)
@@ -849,20 +813,16 @@ def _probe_dv(trials, seed, _corrupt):
         q = random_pmf(rng, n, labels=p.alphabet)
         g = rng.normal(scale=3.0, size=n)
         duality.update(dv_value(p, q, g) - kl_divergence(p, q), (p.probs, q.probs, g))
-    checks = (
-        supremum.check("supremum-gap", 1e-6),
-        duality.check("weak-duality-margin", 1e-12),
-    )
-    return count + duality_count, checks
+    return count + duality_count, (supremum, duality)
 
 
 def _probe_gyp(trials, seed, _corrupt):
     count = trials // 20
-    finest = _Worst()
-    monotone = _Worst()
-    singleton = _Worst()
-    mi_floor = _Worst()
-    coarsest = _Worst()
+    finest = _Worst("finest-equals-divergence", 0.0)
+    monotone = _Worst("refinement-monotonicity", 0.0)
+    singleton = _Worst("singleton-attainment", 0.0)
+    mi_floor = _Worst("rectangle-information", 0.0)
+    coarsest = _Worst("coarsest-rectangle-zero", 1e-12)
     for t in range(count):
         rng = _trial_rng(seed, 13, t)
         n = int(rng.integers(4, 9))
@@ -884,18 +844,11 @@ def _probe_gyp(trials, seed, _corrupt):
         mi_floor.update(mutual_information(j) - top, j.probs)
         mi_floor.update(top - mutual_information(j) - 1e-12, j.probs)
         coarsest.update(abs(gyp_mi_supremum(j, max_blocks=1)), j.probs)
-    checks = (
-        finest.check("finest-equals-divergence", 0.0),
-        monotone.check("refinement-monotonicity", 0.0),
-        singleton.check("singleton-attainment", 0.0),
-        mi_floor.check("rectangle-information", 0.0),
-        coarsest.check("coarsest-rectangle-zero", 1e-12),
-    )
-    return count, checks
+    return count, (finest, monotone, singleton, mi_floor, coarsest)
 
 
 # the only place a theorem's id and name are written; each probe takes
-# (trials, seed, corrupt) and returns (trials run, checks)
+# (trials, seed, corrupt) and returns (trials run, trackers), one per check
 _SUITE = {
     _probe_entropy_chain: ("T01", "entropy-chain-rule"),
     _probe_mi_formulas: ("T02", "mi-formula-agreement"),
@@ -929,6 +882,6 @@ def run_probe_suite(trials: int = 1000, seed: int = 0, corrupt: bool = False) ->
     reports = []
     for probe in _SUITE:
         start = time.perf_counter()
-        trials_run, checks = probe(trials, seed, corrupt)
-        reports.append(_report(probe, trials_run, checks, time.perf_counter() - start))
+        trials_run, trackers = probe(trials, seed, corrupt)
+        reports.append(_report(probe, trials_run, trackers, time.perf_counter() - start))
     return reports

@@ -106,6 +106,17 @@ class TestVerify:
         # every other theorem still reports
         assert sum(l.endswith("pass") for l in captured.out.splitlines()) == 12
 
+    def test_nan_margin_is_a_fail_line(self, capsys, monkeypatch):
+        # NaN compares false with any tolerance; it must fail, not pass as 0
+        undefined = (("nan", lambda t: math.nan),)
+        monkeypatch.setattr(mitk.variational, "_CONVEX_FAMILY", undefined)
+        assert main(["verify", "--trials", "10"]) == 1
+        captured = capsys.readouterr()
+        (line,) = [l for l in captured.out.splitlines() if l.startswith("T07")]
+        assert line.endswith("worst_slack=+nan  FAIL")
+        assert "check gap-margin: worst=nan" in captured.err
+        assert sum(l.endswith("pass") for l in captured.out.splitlines()) == 12
+
     def test_zero_trials_vacuous_with_warning(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Variational identities, suprema, and the theorem probe suite."""
 
+import hashlib
 import math
 from dataclasses import fields, replace
 
@@ -24,8 +25,10 @@ from mitk.discrete import (
     random_pmf,
 )
 from mitk.variational import (
+    CheckResult,
     MarkovChainSpec,
     Partition,
+    ProbeReport,
     distance_to_product,
     dpi_check,
     dv_supremum,
@@ -399,6 +402,22 @@ class TestCurvatureProbes:
         with pytest.raises(ValueError, match="must share a shape"):
             mi_concavity_convexity_probe((px, px), (w, sure))
 
+    def test_mixed_tables_must_share_labels(self):
+        # a mixture takes its first table's labels, so the labels are compared
+        pair_ab = (Pmf(("a", "b"), [0.3, 0.7]), Pmf(("a", "b"), [0.6, 0.4]))
+        pair_cd = (Pmf(("c", "d"), [0.2, 0.8]), Pmf(("c", "d"), [0.5, 0.5]))
+        with pytest.raises(ValueError, match="must share a type and labels"):
+            kl_convexity_probe(pair_ab, pair_cd)
+        px = Pmf(("g0", "g1"), [0.3, 0.7])
+        rows = [[0.3, 0.7], [0.6, 0.4]]
+        w_t = CondPmf(("g0", "g1"), ("t0", "t1"), rows)
+        w_u = CondPmf(("g0", "g1"), ("u0", "u1"), rows)
+        with pytest.raises(ValueError, match="must share a type and labels"):
+            mi_concavity_convexity_probe((px, px), (w_t, w_u))
+        joint = JointPmf2(("g0", "g1"), ("t0", "t1"), [[0.15, 0.35], [0.3, 0.2]])
+        with pytest.raises(ValueError, match="must share a type and labels"):
+            mitk.variational._mix(w_t, joint, 0.5)
+
 
 class TestJensen:
     def test_affine_is_tight(self):
@@ -540,9 +559,9 @@ class TestDerivedTables:
         c1, c2 = random_cond(rng, 2, 3, labels=labels), random_cond(rng, 2, 3, labels=labels)
         for alpha in (0.0, 0.3, 1.0):
             built = Pmf(p1.alphabet, alpha * p1.probs + (1.0 - alpha) * p2.probs)
-            _assert_same_table(mitk.variational._mix_pmf(p1, p2, alpha), built)
+            _assert_same_table(mitk.variational._mix(p1, p2, alpha), built)
             built = CondPmf(*labels, alpha * c1.probs + (1.0 - alpha) * c2.probs)
-            _assert_same_table(mitk.variational._mix_cond(c1, c2, alpha), built)
+            _assert_same_table(mitk.variational._mix(c1, c2, alpha), built)
 
     def test_tables_passed_to_the_divergence(self, monkeypatch):
         # mi_from_divergence's two flat tables and golden_decomposition's penalty
@@ -572,7 +591,62 @@ class TestDerivedTables:
             seen.clear()
 
 
+def _feed(digest, value):
+    """Feed a witness into `digest`: dict keys, array dtypes, shapes and bytes, floats as hex."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            digest.update(key.encode())
+            _feed(digest, item)
+    elif isinstance(value, tuple):
+        for item in value:
+            _feed(digest, item)
+    elif isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(value.tobytes())
+    elif isinstance(value, float):
+        digest.update(value.hex().encode())
+    else:
+        digest.update(repr(value).encode())  # None, an int, a function's name
+
+
+def _checks_digest(reports) -> str:
+    """sha256 of every check: theorem, name, worst (hex), tolerance, passed and witness."""
+    digest = hashlib.sha256()
+    for report in reports:
+        for check in report.checks:
+            digest.update(f"{report.theorem} {check.name} {float(check.worst).hex()} "
+                          f"{check.tolerance!r} {check.passed}".encode())
+            _feed(digest, check.witness)
+    return digest.hexdigest()
+
+
+# `_checks_digest(run_probe_suite(trials, seed, corrupt))` for each (trials, seed, corrupt)
+GOLDEN_CHECK_DIGESTS = {
+    (20, 0, False): "fd0f35d1de06762f1e4d378762f129d36e21d39fe8e5431009e4ffa60b961465",
+    (20, 7, False): "f0fa539b0305c7324b9f8e933b4f796b6ef0892fdfe598ed48ad885b2a335c10",
+    (20, 0, True): "331271d94e2cf35d01e504c80d5efac573324149c8a2098b0747a0004e603dc8",
+}
+
+
 class TestProbeSuite:
+    @pytest.mark.parametrize("args", GOLDEN_CHECK_DIGESTS)
+    def test_every_check_is_golden(self, args):
+        # the report lines show one worst per theorem; this pins every check
+        assert _checks_digest(run_probe_suite(*args)) == GOLDEN_CHECK_DIGESTS[args]
+
+    def test_nan_margin_fails_its_check(self):
+        tracker = mitk.variational._Worst("margin", 1e-12)
+        for value, witness in ((1.0, "a"), (math.nan, "b"), (2.0, "c"), (math.nan, "d")):
+            tracker.update(value, witness)
+        check = tracker.check()
+        assert math.isnan(check.worst) and check.witness == "b" and not check.passed
+
+    def test_nan_is_the_worst_slack(self):
+        nan = CheckResult("undefined", math.nan, 0.0, False)
+        far = CheckResult("far", 5.0, 1e-12, False)
+        for checks in ((nan, far), (far, nan)):
+            assert math.isnan(ProbeReport("T00", "probe", 1, checks).worst_slack)
+
     def test_small_suite_passes(self):
         reports = run_probe_suite(trials=60, seed=0)
         assert len(reports) == 13
