@@ -33,14 +33,17 @@ from .estimators import (
     EstimatorKind,
     TrainSettings,
     TrainingDiverged,
+    make_objective,
     train_estimator,
     trajectory_csv_text,
     trajectory_filename,
 )
-from .gaussian import GaussianTask, task_for_target_mi, true_mi
+from .gaussian import SEED_LIMIT, GaussianTask, task_for_target_mi, true_mi
 from .variational import run_probe_suite
 
 __all__ = ["main", "SummaryRow"]
+
+MAX_RUNS = 10_000  # the most estimator x seed runs one `mitk bench` takes
 
 
 def _default_seed() -> int:
@@ -200,18 +203,25 @@ def _cmd_train(args) -> int:
     kind = EstimatorKind(config["estimator"])
     task = _task_from_config(config)
     settings = _settings_from_config(config, int(config["seed"]))
+    make_objective(kind, task, settings)  # a batch too large to hold fails before any write
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
     try:
-        trajectory = train_estimator(kind, task, settings)
+        path, _ = _run_one(kind, task, settings, out_dir)
     except TrainingDiverged as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    path = out_dir / trajectory_filename(trajectory)
-    path.write_text(trajectory_csv_text(trajectory))
     print(path)
     return 0
+
+
+def _run_one(kind, task: GaussianTask, settings: TrainSettings, out_dir: Path):
+    """Train one run and write its trajectory CSV; returns (CSV path, trajectory)."""
+    trajectory = train_estimator(kind, task, settings)
+    path = out_dir / trajectory_filename(trajectory)
+    path.write_text(trajectory_csv_text(trajectory))
+    return path, trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +245,6 @@ class SummaryRow:
     bias: float
     std: float
     violation: bool | None
-
-
-def _bench_one(settings: TrainSettings, task: GaussianTask, out_dir: Path, tag: str, seed: int):
-    trajectory = train_estimator(tag, task, replace(settings, seed=seed))
-    path = out_dir / trajectory_filename(trajectory)
-    path.write_text(trajectory_csv_text(trajectory))
-    return trajectory
 
 
 def _summarize(tag: str, task: GaussianTask, trajectories: list) -> SummaryRow:
@@ -294,17 +297,22 @@ def _cmd_bench(args) -> int:
     config = _resolve_config(args)
     task = _task_from_config(config)
     tags = tuple(t.strip() for t in str(config["estimators"]).split(",") if t.strip())
-    master = int(config["seed"])
-    # bad input (a typo, bad settings) raises here, not in every run of the pool
+    master, count = int(config["seed"]), int(config["seeds"])
+    # bad input (a typo, bad settings, a batch too large to hold, too many
+    # runs) raises here, not in every run of the pool
     settings = _settings_from_config(config, master)
-    for tag in tags:
-        EstimatorKind(tag)
-    seeds = tuple(master + i for i in range(int(config["seeds"])))
-    if not tags or not seeds:
+    for tag in tags:  # each objective is dropped before the next is built
+        make_objective(tag, task, settings)
+    if not tags or count < 1:
         raise ValueError("estimator and seed lists must be nonempty")
+    if len(tags) * count > MAX_RUNS:
+        raise ValueError(f"a bench runs at most {MAX_RUNS} runs, got {len(tags)} x {count}")
+    if master + count > SEED_LIMIT:
+        raise ValueError(f"seed + seeds - 1 must be < 2**64, got {master + count - 1}")
     workers = int(config["workers"])
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    seeds = tuple(range(master, master + count))
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
@@ -314,12 +322,12 @@ def _cmd_bench(args) -> int:
     failures = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
-            pool.submit(_bench_one, settings, task, out_dir, tag, seed): (tag, seed)
+            pool.submit(_run_one, tag, task, replace(settings, seed=seed), out_dir): (tag, seed)
             for tag, seed in runs
         }
         for future, (tag, seed) in futures.items():
             try:
-                trajectory = future.result()
+                _, trajectory = future.result()
             except TrainingDiverged as err:
                 failures.append((tag, seed, str(err)))
             except Exception as err:  # one broken run must not lose the others
@@ -417,7 +425,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,8 @@ output). Nothing is kept at module level, so concurrent runs share no
 state. Each critic bound is written once, as a value kernel and an upstream
 (score-gradient) kernel (`_dv`, `_tangent` for TUBA and NWJ, `_infonce`);
 an objective runs them in its workspace, the `*_from_scores` and `est_*`
-functions in a fresh one.
+functions in a fresh one. `_OBJECTIVES` alone binds a kind to its
+objective and, for a critic bound, to its kernels.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from . import critic as nets
 from .gaussian import (
+    SEED_LIMIT,
     GaussianTask,
     SampleBatch,
     cond_log_density,
@@ -319,7 +322,9 @@ class Objective:
 
 
 class _Tractable(Objective):
-    """An upper bound on the task's closed-form densities: nothing to train."""
+    """An upper bound on the task's closed-form densities: nothing to train.
+    The densities are bound to the task when `value` runs, through this
+    module's names, so a wrapper put on those names sees every call."""
 
     def __init__(self, task: GaussianTask, settings: "TrainSettings"):
         self.task = task
@@ -327,18 +332,13 @@ class _Tractable(Objective):
 
 class _BaUpper(_Tractable):
     def value(self, batch):
-        task = self.task
-        return est_ba_upper(
-            batch,
-            lambda y, x: cond_log_density(task, y, x),
-            lambda y: marginal_log_density(task, y),
-        )
+        return est_ba_upper(batch, partial(cond_log_density, self.task),
+                            partial(marginal_log_density, self.task))
 
 
 class _L1Out(_Tractable):
     def value(self, batch):
-        task = self.task
-        return est_l1out(batch, lambda y, x: cond_log_density(task, y, x))
+        return est_l1out(batch, partial(cond_log_density, self.task))
 
 
 class _BaLower(Objective):
@@ -369,33 +369,37 @@ class _BaLower(Objective):
 class _CriticBound(Objective):
     """A bound on a critic's n x n score table.
 
-    A subclass binds its bound's pair of kernels, `kernels = (value,
-    upstream)`. `from_scores` runs the value kernel in the workspace and
-    keeps its state; `upstream` turns that state into the value's gradient
-    with respect to the scores, written into the workspace. `_forward`
-    gives the score table and the bound's arguments beyond it: none, or
-    TUBA's log-baseline.
+    `kernels = (value, upstream)` is the bound's pair of kernels, bound by
+    its row of `_OBJECTIVES`. `from_scores` runs the value kernel in the
+    workspace and keeps its state; `upstream` turns that state into the
+    value's gradient with respect to the scores, written into the
+    workspace. `_forward` gives the score table and the bound's arguments
+    beyond it: none, or TUBA's log-baseline. With `baseline`, a baseline
+    network shares the flat buffer, after the critic.
     """
 
-    with_baseline = False
-
-    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
+    def __init__(self, task: GaussianTask, settings: "TrainSettings", kernels: tuple,
+                 baseline: bool = False):
+        self.kernels = kernels
         arch = nets.CriticArch(task.dim, task.dim, form=settings.critic_form,
                                hidden=settings.hidden, embed=settings.embed)
         critic = nets.init_critic(arch, settings.seed)
         arrays = nets.param_arrays(critic)
         k = len(arrays)
-        if self.with_baseline:
-            baseline = nets.init_baseline(task.dim, settings.hidden, settings.seed)
-            arrays = arrays + nets.param_arrays(baseline)
+        if baseline:
+            net_a = nets.init_baseline(task.dim, settings.hidden, settings.seed)
+            arrays = arrays + nets.param_arrays(net_a)
         views, grads = self._own(arrays)
         self.critic = nets.with_param_arrays(critic, views[:k])
         self.critic_grads = grads[:k]
-        if self.with_baseline:
-            self.baseline = nets.with_param_arrays(baseline, views[k:])
+        if baseline:
+            self.baseline = nets.with_param_arrays(net_a, views[k:])
             self.baseline_grads = grads[k:]
         n = settings.batch_size
-        self.work = np.empty((n, n))
+        try:
+            self.work = np.empty((n, n))
+        except MemoryError:
+            raise MemoryError(f"batch_size {n} needs a {8 * n * n}-byte n x n workspace") from None
 
     def _forward(self, batch):
         scores, self.cache = nets.score_matrix_with_cache(self.critic, batch, cache=self.cache)
@@ -421,20 +425,9 @@ class _CriticBound(Objective):
         return value
 
 
-class _Dv(_CriticBound):
-    kernels = (_dv, _dv_upstream)
+class _Tuba(_CriticBound):
+    """The tangent bound with a learned log-baseline network."""
 
-
-class _InfoNce(_CriticBound):
-    kernels = (_infonce, _infonce_upstream)
-
-
-class _Nwj(_CriticBound):
-    kernels = (_tangent, _tangent_upstream)
-
-
-class _Tuba(_Nwj):
-    with_baseline = True
     cache_a = None  # the baseline network's, reused like `cache`
 
     def _forward(self, batch):
@@ -455,10 +448,10 @@ _OBJECTIVES = {
     EstimatorKind.BA_UPPER_R: _BaUpper,
     EstimatorKind.L1OUT: _L1Out,
     EstimatorKind.BA_LOWER: _BaLower,
-    EstimatorKind.DV: _Dv,
-    EstimatorKind.TUBA: _Tuba,
-    EstimatorKind.NWJ: _Nwj,
-    EstimatorKind.INFONCE: _InfoNce,
+    EstimatorKind.DV: partial(_CriticBound, kernels=(_dv, _dv_upstream)),
+    EstimatorKind.TUBA: partial(_Tuba, kernels=(_tangent, _tangent_upstream), baseline=True),
+    EstimatorKind.NWJ: partial(_CriticBound, kernels=(_tangent, _tangent_upstream)),
+    EstimatorKind.INFONCE: partial(_CriticBound, kernels=(_infonce, _infonce_upstream)),
 }
 
 
@@ -496,6 +489,7 @@ class TrainSettings:
         for name, ok, rule in (
             ("steps", self.steps >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
+            ("seed", self.seed < SEED_LIMIT, "< 2**64"),
             ("batch_size", self.batch_size >= 2, ">= 2"),
             ("eval_every", self.eval_every >= 1, ">= 1"),
             ("smoothing", 0.0 <= self.smoothing <= 1.0, "in [0, 1]"),

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 LN_2PI = math.log(2.0 * math.pi)
+SEED_LIMIT = 2**64  # a seed is one of the two uint64 words of a Philox key
 
 __all__ = [
     "GaussianTask",
@@ -88,8 +89,6 @@ def task_for_target_mi(dim: int, target_mi: float) -> GaussianTask:
 
 def _standard_normals(seed: int, stream: int, shape: tuple) -> np.ndarray:
     """Box-Muller normals from a Philox generator keyed by (seed, stream)."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be nonnegative")
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     count = int(np.prod(shape))
     pairs = (count + 1) // 2
@@ -104,10 +103,14 @@ def sample(task: GaussianTask, n: int, seed: int, stream: int = 0) -> SampleBatc
     """Draw n paired samples: x standard normal, y = rho x + sqrt(1-rho^2) noise.
 
     Deterministic in (seed, stream); distinct streams never share generator
-    state, so concurrent sampling is safe.
+    state, so concurrent sampling is safe. x is keyed (seed, 2 stream) and
+    the noise (seed, 2 stream + 1), so the stream lies in [0, 2**63).
     """
     if n < 2:
         raise ValueError("need n >= 2 (contrastive estimators require negatives)")
+    if not (0 <= seed < SEED_LIMIT and 0 <= stream < SEED_LIMIT // 2):
+        raise ValueError(f"seed must lie in [0, 2**64) and stream in [0, 2**63), "
+                         f"got seed {seed} and stream {stream}")
     xs = _standard_normals(seed, 2 * stream, (n, task.dim))
     noise = _standard_normals(seed, 2 * stream + 1, (n, task.dim))
     ys = task.rho * xs + math.sqrt(1.0 - task.rho * task.rho) * noise

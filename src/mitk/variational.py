@@ -238,17 +238,9 @@ def golden_decomposition(j: JointPmf2, aux: Pmf, axis: int = 0) -> tuple:
     if aux.alphabet != target_alphabet:
         raise ValueError("aux alphabet must match the selected axis alphabet")
     weights = probs.sum(axis=0)
-    terms = []
-    for k, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        cond = probs[:, k] / w
-        row = _exact_sum(rel_entr(cond, aux.probs))
-        if math.isinf(row):
-            terms = [math.inf]
-            break
-        terms.append(w * row)
-    conditional_term = math.fsum(terms)
+    mass = weights > 0.0
+    conds = rel_entr(probs[:, mass] / weights[mass], aux.probs[:, None])
+    conditional_term = math.fsum(w * _exact_sum(col) for w, col in zip(weights[mass], conds.T))
     penalty_term = kl_divergence(_derived(Pmf, target_alphabet, probs.sum(axis=1)), aux)
     return conditional_term, penalty_term
 

@@ -4,8 +4,10 @@ import hashlib
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -209,7 +211,7 @@ class TestTrain:
 
     def test_non_finite_held_out_estimate_is_a_divergence(self, tmp_path, capsys,
                                                           monkeypatch):
-        real = mitk.estimators._Nwj.value
+        real = mitk.estimators._CriticBound.value
         calls = []
 
         def overflowing(self, batch):
@@ -217,13 +219,37 @@ class TestTrain:
             calls.append(1)
             return -math.inf if len(calls) == 3 else real(self, batch)
 
-        monkeypatch.setattr(mitk.estimators._Nwj, "value", overflowing)
+        monkeypatch.setattr(mitk.estimators._CriticBound, "value", overflowing)
         code = main(["train", "--estimator", "nwj", "--dim", "2", "--target-mi", "1",
                      "--seed", "0", "--out", str(tmp_path)] + FAST)
         assert code == 1
         err = capsys.readouterr().err
         assert "non-finite held-out estimate -inf at step 40" in err
         assert not list(tmp_path.glob("nwj_*.csv"))
+
+    def test_memory_error_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(mitk.cli, "train_estimator", exhausted)
+        code = main(["train", "--estimator", "nwj", "--dim", "2", "--target-mi", "1",
+                     "--out", str(tmp_path)] + FAST)
+        assert code == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 1.00 TiB\n"
+
+    @pytest.mark.parametrize("form", ["joint", "separable"])
+    def test_linear_critic_writes_trajectory_csv(self, tmp_path, capsys, form):
+        # no widths: a linear joint critic, or a bilinear separable one
+        code = main(["train", "--estimator", "tuba", "--dim", "2", "--target-mi", "1",
+                     "--seed", "0", "--out", str(tmp_path)] + FAST
+                    + ["--set", "critic.widths=", "--set", f"critic.form={form}"])
+        assert code == 0
+        path = tmp_path / "tuba_2_1_0.csv"
+        assert capsys.readouterr().out == f"{path}\n"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,estimate,smoothed,true_mi,estimator,seed"
+        assert len(lines) == 1 + 3  # evals at steps 0, 20, 40
+        assert "critic.widths=\n" in (tmp_path / "config_resolved.txt").read_text()
 
     def test_blas_thread_count_does_not_change_artifacts(self, tmp_path):
         src = Path(mitk.__file__).resolve().parents[1]
@@ -386,6 +412,75 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "run failed" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestBadInputWritesNothing:
+    """Input that no run can take exits 2 with one error line, before any file
+    is written or any run starts."""
+
+    @staticmethod
+    def never(*args):
+        raise AssertionError("a run started")
+
+    @staticmethod
+    def assert_clean_input_error(code, err, out_dir, *fragments):
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for fragment in fragments:
+            assert fragment in lines[0]
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command, message", [
+        (["train", "--estimator", "nwj", "--seed", str(2**64)],
+         f"seed must be < 2**64, got {2**64}"),
+        (["bench", "--estimators", "nwj", "--seed", str(2**64 - 1), "--seeds", "2"],
+         f"seed + seeds - 1 must be < 2**64, got {2**64}"),
+        (["bench", "--estimators", "nwj", "--seed", str(2**64), "--seeds", "1"],
+         f"seed must be < 2**64, got {2**64}")])
+    def test_seed_past_the_philox_key(self, tmp_path, capsys, monkeypatch, command, message):
+        monkeypatch.setattr(mitk.cli, "train_estimator", self.never)
+        code = main(command + ["--rho", "0.5", "--dim", "2", "--steps", "1",
+                               "--batch-size", "4", "--out", str(tmp_path)])
+        self.assert_clean_input_error(code, capsys.readouterr().err, tmp_path, message)
+
+    @pytest.mark.parametrize("command", [["train", "--estimator", "nwj"],
+                                         ["bench", "--estimators", "ba_upper,nwj"]])
+    def test_batch_too_large_to_allocate(self, tmp_path, capsys, monkeypatch, command):
+        # a 2e6 x 2e6 float64 workspace is 29.1 TiB, which malloc refuses at once
+        monkeypatch.setattr(mitk.cli, "train_estimator", self.never)
+        code = main(command + ["--rho", "0.5", "--dim", "2", "--steps", "0",
+                               "--batch-size", "2000000", "--out", str(tmp_path)])
+        self.assert_clean_input_error(code, capsys.readouterr().err, tmp_path,
+                                      "batch_size 2000000 needs a 32000000000000-byte")
+
+    def test_run_count_past_the_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mitk.cli, "train_estimator", self.never)
+        code = main(["bench", "--estimators", "nwj,ba_upper", "--rho", "0.5", "--dim", "2",
+                     "--seeds", str(mitk.cli.MAX_RUNS // 2 + 1), "--out", str(tmp_path)])
+        self.assert_clean_input_error(
+            code, capsys.readouterr().err, tmp_path,
+            f"at most {mitk.cli.MAX_RUNS} runs, got 2 x 5001")
+
+    def test_huge_seed_count_exits_at_once(self, tmp_path, capsys):
+        args = ["bench", "--estimators", "nwj", "--rho", "0.5", "--steps", "1",
+                "--set", f"seeds={10**23}", "--out", str(tmp_path)]
+        # first in a child with 768 MiB of address space, so code that builds
+        # the seed list fails there rather than filling this process
+        src = Path(mitk.__file__).resolve().parents[1]
+        limit = 768 << 20
+        done = subprocess.run(
+            [sys.executable, "-m", "mitk.cli", *args], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        self.assert_clean_input_error(done.returncode, done.stderr, tmp_path,
+                                      f"got 1 x {10**23}")
+        start = time.perf_counter()
+        code = main(args)
+        elapsed = time.perf_counter() - start
+        self.assert_clean_input_error(code, capsys.readouterr().err, tmp_path)
+        assert elapsed < 1.0
 
 
 class TestTableMi:

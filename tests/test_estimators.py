@@ -641,7 +641,9 @@ def _kink_distance(objective, batch):
         runs.append((objective.baseline, batch.ys))
     if objective.decoder is not None:
         runs.append((objective.decoder.net, batch.ys))
-    return min(float(np.abs(z).min()) for net, x in runs for z in _hidden_preactivations(net, x))
+    # a net with no hidden layer has no kink
+    return min((float(np.abs(z).min()) for net, x in runs for z in _hidden_preactivations(net, x)),
+               default=math.inf)
 
 
 def _hidden_preactivations(net, x):
@@ -656,14 +658,18 @@ def _hidden_preactivations(net, x):
 class TestObjectiveGradients:
     """value_and_grad against central differences of value, through the flat buffers."""
 
-    @pytest.mark.parametrize("tag,form", [
-        ("dv", "joint"), ("dv", "separable"), ("nwj", "joint"), ("nwj", "separable"),
-        ("infonce", "joint"), ("infonce", "separable"), ("tuba", "joint"),
-        ("tuba", "separable"), ("ba_lower", "separable")])
-    def test_gradient_matches_finite_differences(self, tag, form):
+    # hidden=() is the linear joint critic and the bilinear separable one
+    @pytest.mark.parametrize("tag,form,hidden", [
+        pytest.param(tag, form, hidden, id=f"{tag}-{form}{suffix}")
+        for hidden, suffix in (((5, 4), ""), ((), "-linear"))
+        for tag, form in (
+            ("dv", "joint"), ("dv", "separable"), ("nwj", "joint"), ("nwj", "separable"),
+            ("infonce", "joint"), ("infonce", "separable"), ("tuba", "joint"),
+            ("tuba", "separable"), ("ba_lower", "separable"))])
+    def test_gradient_matches_finite_differences(self, tag, form, hidden):
         rng = np.random.default_rng(41)
         task = GaussianTask(2, 0.6)
-        settings = TrainSettings(batch_size=6, hidden=(5, 4), embed=3, critic_form=form)
+        settings = TrainSettings(batch_size=6, hidden=hidden, embed=3, critic_form=form)
         objective = make_objective(tag, task, settings)
         # a generic point: off the zero-bias init, a baseline that is not
         # constant, and a log-variance away from zero
@@ -701,6 +707,11 @@ class TestTrainSettings:
     def test_out_of_range_value_is_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be "):
             TrainSettings(**{field: value})
+
+    def test_seed_must_be_a_philox_key_word(self):
+        with pytest.raises(ValueError, match=rf"^seed must be < 2\*\*64, got {2**64}$"):
+            TrainSettings(seed=2**64)
+        TrainSettings(seed=2**64 - 1)
 
     def test_range_edges_and_large_rates_are_legal(self):
         # a large finite rate is legal: it is how divergence is forced on purpose

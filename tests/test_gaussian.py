@@ -75,6 +75,21 @@ class TestSampling:
         assert not np.array_equal(base.xs, sample(task, 32, seed=2).xs)
         assert not np.array_equal(base.xs, sample(task, 32, seed=1, stream=1).xs)
 
+    @pytest.mark.parametrize("seed, stream", [
+        (2**64, 0), (-1, 0), (0, 2**63), (0, 2**64), (0, -1)])
+    def test_seed_and_stream_outside_the_philox_key(self, seed, stream):
+        # x is keyed (seed, 2 stream) and the noise (seed, 2 stream + 1), two uint64 words
+        message = (r"^seed must lie in \[0, 2\*\*64\) and stream in \[0, 2\*\*63\), "
+                   rf"got seed {seed} and stream {stream}$")
+        with pytest.raises(ValueError, match=message):
+            sample(GaussianTask(2, 0.3), 4, seed=seed, stream=stream)
+
+    def test_largest_seed_and_stream_are_keys(self):
+        task = GaussianTask(2, 0.3)
+        top = sample(task, 4, seed=2**64 - 1, stream=2**63 - 1)
+        assert np.isfinite(top.xs).all() and np.isfinite(top.ys).all()
+        assert not np.array_equal(top.xs, sample(task, 4, seed=2**64 - 1).xs)
+
     def test_minimum_batch_enforced(self):
         with pytest.raises(ValueError):
             sample(GaussianTask(2, 0.3), 1, seed=0)

@@ -145,6 +145,35 @@ class TestGoldenDecomposition:
         assert conditional == math.inf
         assert penalty == math.inf
 
+    def test_conditional_term_matches_a_column_loop(self):
+        # the per-column loop, written out: empty columns skipped, an
+        # infinite column ends the sum
+        def column_loop(probs, aux):
+            terms = []
+            for k, w in enumerate(probs.sum(axis=0)):
+                if w == 0.0:
+                    continue
+                row = math.fsum(scipy.special.rel_entr(probs[:, k] / w, aux).tolist())
+                if math.isinf(row):
+                    return math.inf
+                terms.append(w * row)
+            return math.fsum(terms)
+
+        rng = np.random.default_rng(83)
+        for trial in range(60):
+            n_rows, n_cols = rng.integers(2, 6, size=2)
+            probs = random_joint2(rng, n_rows, n_cols).probs.copy()
+            probs[:, rng.integers(n_cols)] = 0.0  # an empty column
+            j = JointPmf2(tuple(range(n_rows)), tuple(range(n_cols)), probs / probs.sum())
+            for axis in (0, 1):
+                table = j.probs if axis == 0 else j.probs.T
+                aux = random_pmf(rng, table.shape[0]).probs.copy()
+                if trial % 3 == 0:
+                    aux[rng.integers(aux.size)] = 0.0  # a support violation, often
+                aux = Pmf(tuple(range(aux.size)), aux / aux.sum())
+                conditional, _ = golden_decomposition(j, aux, axis=axis)
+                assert conditional == column_loop(table, aux.probs)
+
 
 class TestProductDistance:
     def test_independent_joint(self):
