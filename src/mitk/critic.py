@@ -202,22 +202,22 @@ def score_matrix_with_cache(params: CriticParams, batch, cache=None):
     separable cache is (x tower cache, y tower cache, table).
 
     Either form's table is the last entry of its forward cache. With
-    `cache`, one returned by an earlier call at the same batch size, the
-    forward pass writes into its arrays (see mlp_forward), the table
-    included.
+    `cache`, one returned by an earlier call at the same batch size or by
+    `_empty_cache`, the forward pass writes into its arrays (see
+    mlp_forward), the table included.
     """
     xs, ys = batch.xs, batch.ys
     n = xs.shape[0]
+    cache = _empty_cache(params, n) if cache is None else cache
     if params.form == "separable":
         x_tower, y_tower = params.nets
-        cache_x, cache_y, table = (None,) * 3 if cache is None else cache
+        cache_x, cache_y, table = cache
         hx, cache_x = mlp_forward(x_tower, xs, out=cache_x)
         hy, cache_y = mlp_forward(y_tower, ys, out=cache_y)
         table = np.matmul(hx, hy.T, out=table)
         return table, (cache_x, cache_y, table)
     (net,) = params.nets
-    w, dx = net.weights[0], xs.shape[1]
-    rows = [np.empty((n * n, v.shape[1])) for v in net.weights] if cache is None else cache[1:]
+    w, dx, rows = net.weights[0], xs.shape[1], cache[1:]
     ax, ay, upper = xs @ w[:dx], ys @ w[dx:] + net.biases[0], _upper(net)
     for i0, i1 in _blocks(n):
         tile = [a[i0 * n:i1 * n] for a in rows]
@@ -227,6 +227,16 @@ def score_matrix_with_cache(params: CriticParams, batch, cache=None):
             np.maximum(h, 0.0, out=h)
         mlp_forward(upper, h, out=tile)
     return rows[-1].reshape(n, n), [(xs, ys), *rows]
+
+
+def _empty_cache(params: CriticParams, n: int, empty=np.empty):
+    """A cache for `score_matrix_with_cache` at batch size n whose arrays with
+    n^2 entries or rows, `empty(shape)` each, are all it holds: the n x n
+    table, or the joint network's layers. The towers' layers are left to
+    the first forward pass."""
+    if params.form == "separable":
+        return None, None, empty((n, n))
+    return [None, *(empty((n * n, w.shape[1])) for w in params.nets[0].weights)]
 
 
 def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=None):

@@ -232,6 +232,15 @@ def _axes_entropy(table: np.ndarray, keep: tuple) -> float:
     return -_exact_sum(xlogy(marg, marg))
 
 
+def _cmi(t: np.ndarray, a: int, b: int, given: tuple) -> float:
+    """I(A;B | G) on the axes a, b and `given` of `t`, as H(A,G) + H(B,G) -
+    H(A,B,G) - H(G); with no G, H(G) is 0.0 (not the entropy of the total
+    mass, which can differ from 1 by a few ulp)."""
+    h_given = _axes_entropy(t, given) if given else 0.0
+    return _clip_residue(_axes_entropy(t, given + (a,)) + _axes_entropy(t, given + (b,))
+                         - _axes_entropy(t, given + (a, b)) - h_given)
+
+
 # ---------------------------------------------------------------------------
 # Divergences
 # ---------------------------------------------------------------------------
@@ -257,15 +266,10 @@ def conditional_kl(p: CondPmf, q: CondPmf, weights: Pmf) -> float:
         raise ValueError("conditional_kl requires matching alphabets")
     if weights.alphabet != p.given_alphabet:
         raise ValueError("weights must cover the given-alphabet")
-    terms = []
-    for i, w in enumerate(weights.probs):
-        if w == 0.0:
-            continue
-        row_kl = _clip_residue(_exact_sum(rel_entr(p.probs[i], q.probs[i])))
-        if math.isinf(row_kl):
-            return math.inf
-        terms.append(w * row_kl)
-    return _clip_residue(math.fsum(terms))
+    mass = weights.probs > 0.0
+    rows = rel_entr(p.probs[mass], q.probs[mass])
+    return _clip_residue(math.fsum(w * _clip_residue(_exact_sum(row))
+                                   for w, row in zip(weights.probs[mass], rows)))
 
 
 def f_divergence(f, p: Pmf, q: Pmf, slope_at_inf: float = math.inf) -> float:
@@ -278,15 +282,13 @@ def f_divergence(f, p: Pmf, q: Pmf, slope_at_inf: float = math.inf) -> float:
     """
     if p.alphabet != q.alphabet:
         raise ValueError("f_divergence requires identical alphabets")
-    terms = []
-    for pi, qi in zip(p.probs, q.probs):
-        if qi > 0.0:
-            terms.append(qi * f(pi / qi))
-        elif pi > 0.0:
-            if math.isinf(slope_at_inf):
-                return math.inf
-            terms.append(pi * slope_at_inf)
-    return math.fsum(terms)
+    pv, qv = p.probs, q.probs
+    matched = qv > 0.0
+    orphans = pv[~matched & (pv > 0.0)]
+    if math.isinf(slope_at_inf) and orphans.size:
+        return math.inf
+    return math.fsum([*(qi * f(pi / qi) for pi, qi in zip(pv[matched], qv[matched])),
+                      *(orphans * slope_at_inf).tolist()])
 
 
 def f_kl(t: float) -> float:
@@ -360,15 +362,7 @@ def conditional_mutual_information(j: JointPmf3, conditioning: int) -> float:
     if conditioning not in (0, 1, 2):
         raise ValueError("conditioning axis must be 0, 1, or 2")
     a, b = sorted({0, 1, 2} - {conditioning})
-    c = conditioning
-    t = j.probs
-    v = (
-        _axes_entropy(t, tuple(sorted((a, c))))
-        + _axes_entropy(t, tuple(sorted((b, c))))
-        - _axes_entropy(t, (0, 1, 2))
-        - _axes_entropy(t, (c,))
-    )
-    return _clip_residue(v)
+    return _cmi(j.probs, a, b, (conditioning,))
 
 
 def mi_chain_rule_terms(table: np.ndarray) -> list:
@@ -385,16 +379,7 @@ def mi_chain_rule_terms(table: np.ndarray) -> list:
     if n > 4:
         raise ValueError(f"mi_chain_rule_terms supports at most 4 conditioned variables, got {n}")
 
-    y_axis = n
-    terms = []
-    for i in range(n):
-        prefix = tuple(range(i))
-        h_prefix_i = _axes_entropy(t, prefix + (i,))
-        h_prefix_y = _axes_entropy(t, prefix + (y_axis,))
-        h_prefix_iy = _axes_entropy(t, prefix + (i, y_axis))
-        h_prefix = _axes_entropy(t, prefix) if prefix else 0.0
-        terms.append(_clip_residue(h_prefix_i + h_prefix_y - h_prefix_iy - h_prefix))
-    return terms
+    return [_cmi(t, i, n, tuple(range(i))) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,14 @@ would already be meaningless.
 
 Training runs through one `Objective` per estimator kind (`make_objective`),
 which owns the buffers of one run: the flat parameter and gradient
-vectors, and for the critic bounds one n x n workspace (plus the separable
-critic's score table; the joint critic's is a view of its network's
-output). Nothing is kept at module level, so concurrent runs share no
-state. Each critic bound is written once, as a value kernel and an upstream
-(score-gradient) kernel (`_dv`, `_tangent` for TUBA and NWJ, `_infonce`);
-an objective runs them in its workspace, the `*_from_scores` and `est_*`
-functions in a fresh one. `_OBJECTIVES` alone binds a kind to its
-objective and, for a critic bound, to its kernels.
+vectors, and for the critic bounds one n x n workspace plus the critic's
+forward arrays, all allocated when it is built. Nothing is kept at module
+level, so concurrent runs share no state. Each critic bound is written
+once, as a value kernel and an upstream (score-gradient) kernel (`_dv`,
+`_tangent` for TUBA and NWJ, `_infonce`); an objective runs them in its
+workspace, the `*_from_scores` and `est_*` functions in a fresh one.
+`_OBJECTIVES` alone binds a kind to its objective and, for a critic
+bound, to its kernels.
 """
 
 from __future__ import annotations
@@ -283,6 +283,16 @@ def _gaussian_ll(resid: np.ndarray, inv_var: np.ndarray, log_var: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
+def _reserve(n: int, shape: tuple, what: str) -> np.ndarray:
+    """np.empty(shape), left untouched, for a run at batch size n; an array
+    too large to allocate is a MemoryError that names n."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index counts
+        raise MemoryError(f"batch_size {n} needs a {8 * math.prod(shape)}-byte {what} "
+                          f"of shape {shape}") from None
+
+
 class Objective:
     """One estimator's batch value and, for the trained kinds, its gradient.
 
@@ -294,19 +304,28 @@ class Objective:
     rebuild. `value_and_grad` returns the batch value and, when it is
     finite, writes the gradient of the value (the ascent direction) into
     the flat vector `grad`, which has the layout of `params`. The untrained
-    kinds have `params = grad = None` and only a `value`.
+    kinds have `params = grad = None` and only a `value`, which binds the
+    task's densities through this module's names when it runs, so a
+    wrapper put on those names sees every call.
 
-    The critic bounds also own one n x n workspace, where n is the batch
-    size: the value's reductions run in the workspace, and the gradient
-    with respect to the scores is formed there afterwards, so a step
-    allocates no n x n array. Each network's forward arrays, the critic's
-    score table included, are kept from the first step and written over by
-    later ones.
+    Building an objective allocates, untouched, every array whose size
+    grows with the batch size n, so a batch too large to hold fails before
+    a run writes anything. The (n, dim) batch and l1out's (n, n, dim)
+    density table are only checked. A critic bound keeps its n x n
+    workspace, where the value's reductions and then the gradient with
+    respect to the scores are formed, and its critic's forward arrays (the
+    score table, or the joint critic's n^2-row layers). Every network's
+    forward arrays are written over by each step.
     """
 
     params = grad = None
     critic = baseline = decoder = None
     cache = None  # forward-pass arrays of the first step, written over by later steps
+
+    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
+        self.task = task
+        n = settings.batch_size
+        _reserve(n, (n, task.dim), "batch")
 
     def value(self, batch: SampleBatch) -> float:
         raise NotImplementedError
@@ -321,22 +340,18 @@ class Objective:
         return views, nets.buffer_views(self.grad, arrays)
 
 
-class _Tractable(Objective):
-    """An upper bound on the task's closed-form densities: nothing to train.
-    The densities are bound to the task when `value` runs, through this
-    module's names, so a wrapper put on those names sees every call."""
-
-    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
-        self.task = task
-
-
-class _BaUpper(_Tractable):
+class _BaUpper(Objective):
     def value(self, batch):
         return est_ba_upper(batch, partial(cond_log_density, self.task),
                             partial(marginal_log_density, self.task))
 
 
-class _L1Out(_Tractable):
+class _L1Out(Objective):
+    def __init__(self, task: GaussianTask, settings: "TrainSettings"):
+        super().__init__(task, settings)
+        n = settings.batch_size
+        _reserve(n, (n, n, task.dim), "(n, n, dim) density table")
+
     def value(self, batch):
         return est_l1out(batch, partial(cond_log_density, self.task))
 
@@ -345,6 +360,7 @@ class _BaLower(Objective):
     """Decoder bound; the network and the log-variance share one buffer."""
 
     def __init__(self, task: GaussianTask, settings: "TrainSettings"):
+        super().__init__(task, settings)
         decoder = init_decoder(task.dim, settings.hidden, settings.seed)
         self.h_x = marginal_entropy(task)
         views, self.grads = self._own(nets.param_arrays(decoder.net) + [decoder.log_var])
@@ -380,6 +396,7 @@ class _CriticBound(Objective):
 
     def __init__(self, task: GaussianTask, settings: "TrainSettings", kernels: tuple,
                  baseline: bool = False):
+        super().__init__(task, settings)
         self.kernels = kernels
         arch = nets.CriticArch(task.dim, task.dim, form=settings.critic_form,
                                hidden=settings.hidden, embed=settings.embed)
@@ -396,10 +413,8 @@ class _CriticBound(Objective):
             self.baseline = nets.with_param_arrays(net_a, views[k:])
             self.baseline_grads = grads[k:]
         n = settings.batch_size
-        try:
-            self.work = np.empty((n, n))
-        except MemoryError:
-            raise MemoryError(f"batch_size {n} needs a {8 * n * n}-byte n x n workspace") from None
+        self.work = _reserve(n, (n, n), "n x n workspace")
+        self.cache = nets._empty_cache(critic, n, partial(_reserve, n, what="critic array"))
 
     def _forward(self, batch):
         scores, self.cache = nets.score_matrix_with_cache(self.critic, batch, cache=self.cache)

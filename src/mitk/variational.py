@@ -23,6 +23,7 @@ from .discrete import (
     _clip_residue,
     _derived,
     _exact_sum,
+    _normalized,
     conditional_mutual_information,
     entropy,
     joint_entropy,
@@ -491,21 +492,20 @@ def _mix(t1, t2, alpha: float):
     return _derived(type(t1), *labels, alpha * t1.probs + (1.0 - alpha) * t2.probs)
 
 
-def _chord(worst, f, ends, alphas, witness, concave=False, values=None) -> tuple:
-    """Track f's margin along the chord between `ends` into `worst`; returns f at the ends.
+def _chord(worst, f, ends, alphas, witness, concave=False) -> None:
+    """Track f's margin along the chord between `ends` into `worst`.
 
     Each end is a tuple of tables, mixed place by place. The margin at weight
     alpha is f(mixture) - (alpha f(end 1) + (1 - alpha) f(end 2)), negated
     for a concave f, so positive is the forbidden side; its witness is
-    `witness` with alpha first. `values`, if given, are f at the ends.
+    `witness` with alpha first.
     """
     end1, end2 = ends
-    v1, v2 = values or (f(*end1), f(*end2))
+    v1, v2 = f(*end1), f(*end2)
     for alpha in alphas:
         lhs = f(*[_mix(t1, t2, alpha) for t1, t2 in zip(end1, end2)])
         rhs = alpha * v1 + (1.0 - alpha) * v2
         worst.update(rhs - lhs if concave else lhs - rhs, {"alpha": alpha, **witness})
-    return v1, v2
 
 
 def _kl_convexity(cases) -> tuple:
@@ -530,16 +530,11 @@ def _mi_curvature(cases) -> tuple:
     convex = _Worst("channel-convexity-margin", 1e-12)
     trials = 0
     for (px1, px2), (w1, w2), alphas in cases:
-        base, _ = _chord(concave, lambda px: mutual_information(joint_from_factors(px, w1)),
-                         ((px1,), (px2,)), alphas,
-                         {"px1": px1.probs, "px2": px2.probs, "channel": w1.probs}, concave=True)
-
-        def channel_mi(w):
-            return mutual_information(joint_from_factors(px1, w))
-
-        _chord(convex, channel_mi, ((w1,), (w2,)), alphas,
-               {"px": px1.probs, "w1": w1.probs, "w2": w2.probs},
-               values=(base, channel_mi(w2)))
+        _chord(concave, lambda px: mutual_information(joint_from_factors(px, w1)),
+               ((px1,), (px2,)), alphas,
+               {"px1": px1.probs, "px2": px2.probs, "channel": w1.probs}, concave=True)
+        _chord(convex, lambda w: mutual_information(joint_from_factors(px1, w)),
+               ((w1,), (w2,)), alphas, {"px": px1.probs, "w1": w1.probs, "w2": w2.probs})
         trials += len(alphas)
     return trials, (concave, convex)
 
@@ -572,11 +567,7 @@ def jensen_probe(f, p: Pmf, values) -> tuple:
 def _direct_conditional_entropy(table: np.ndarray, given_axes: tuple) -> float:
     """-sum p ln(p / p_marginal(given)), summed over the full table."""
     drop = tuple(sorted(set(range(table.ndim)) - set(given_axes)))
-    marg = table.sum(axis=drop) if drop else table
-    shape = [1] * table.ndim
-    for ax in given_axes:
-        shape[ax] = table.shape[ax]
-    return -_exact_sum(rel_entr(table, np.broadcast_to(marg.reshape(shape), table.shape)))
+    return -_exact_sum(rel_entr(table, table.sum(axis=drop, keepdims=True)))
 
 
 def _probe_entropy_chain(trials, seed, _corrupt):
@@ -595,8 +586,7 @@ def _probe_entropy_chain(trials, seed, _corrupt):
 
         j3 = random_joint3(rng, 2, 3, 2)
         h_xy_given_z = _direct_conditional_entropy(j3.probs, (2,))
-        z_marginal = np.broadcast_to(j3.probs.sum(axis=(0, 1))[None, :], (2, 2))
-        h_x_given_z = -_exact_sum(rel_entr(j3.probs.sum(axis=1), z_marginal))
+        h_x_given_z = -_exact_sum(rel_entr(j3.probs.sum(axis=1), j3.probs.sum(axis=(0, 1))))
         h_y_given_xz = _direct_conditional_entropy(j3.probs, (0, 2))
         identity3.update(abs(h_xy_given_z - (h_x_given_z + h_y_given_xz)), j3.probs)
     return trials, (identity, subadd, identity3)
@@ -623,19 +613,8 @@ def _probe_mi_chain(trials, seed, _corrupt):
     worst = _Worst("term-sum", 1e-10)
     for t in range(trials):
         rng = _trial_rng(seed, 3, t)
-        if t % 2 == 0:
-            j = random_joint3(rng, 2, 2, 2)
-            table = j.probs
-        else:
-            raw = rng.exponential(size=(2, 2, 2, 2))
-            table = raw / raw.sum()
-        n_x = table.ndim - 1
-        flat_rows = int(np.prod(table.shape[:n_x]))
-        flat = JointPmf2(
-            tuple(f"x{i}" for i in range(flat_rows)),
-            tuple(f"y{i}" for i in range(table.shape[-1])),
-            table.reshape(flat_rows, table.shape[-1]),
-        )
+        table = _normalized(rng, (2,) * (3 + t % 2))
+        flat = JointPmf2(range(table.size // 2), range(2), table.reshape(-1, 2))
         total = math.fsum(mi_chain_rule_terms(table))
         worst.update(abs(total - mutual_information(flat)), table)
     return trials, (worst,)

@@ -1,17 +1,22 @@
 """Command-line interface: subcommands, config precedence, reproducible artifacts."""
 
+import contextlib
 import hashlib
+import io
 import math
 import os
 import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mitk.cli
 import mitk.estimators
@@ -361,6 +366,21 @@ class TestBench:
         assert [row.split(",")[0] for row in summary[1:]] == ["ba_upper"]
         assert not any(line.startswith("nwj") for line in captured.out.splitlines())
 
+    def test_diverged_runs_are_reported_and_the_rest_summarized(self, tmp_path, capsys):
+        # at this learning rate both nwj runs diverge, at steps 1 and 2
+        code = main(["bench", "--estimators", "nwj,ba_upper", "--seeds", "2", "--rho", "0.9",
+                     "--dim", "2", "--steps", "200", "--batch-size", "16",
+                     "--eval-every", "50", "--set", "adam.lr=50", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(
+            "run failed: nwj seed=0: non-finite objective -inf at step 1; config=")
+        assert err[1].startswith("run failed: nwj seed=1: non-finite objective")
+        assert "TrainingDiverged" not in "\n".join(err)
+        assert err[2:] == ["summary: nwj covers 0 of 2 seeds"]
+        summary = (tmp_path / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["ba_upper"]
+
     def test_worker_count_does_not_change_artifacts(self, tmp_path, capsys):
         args = ["bench", "--estimators", "dv,tuba,nwj,infonce,ba_lower,ba_upper,l1out",
                 "--seeds", "2", "--seed", "0", "--dim", "2", "--target-mi", "1"] + FAST
@@ -455,6 +475,29 @@ class TestBadInputWritesNothing:
         self.assert_clean_input_error(code, capsys.readouterr().err, tmp_path,
                                       "batch_size 2000000 needs a 32000000000000-byte")
 
+    @pytest.mark.parametrize("command, sizes, message", [
+        (["train", "--estimator", "l1out"], ["--batch-size", "2000000"],
+         "batch_size 2000000 needs a 64000000000000-byte (n, n, dim) density table"),
+        (["bench", "--estimators", "ba_upper,l1out"], ["--batch-size", "2000000"],
+         "batch_size 2000000 needs a 64000000000000-byte (n, n, dim) density table"),
+        (["train", "--estimator", "nwj", "--set", "critic.form=joint"],
+         ["--batch-size", "20000"], "batch_size 20000 needs a 204800000000-byte critic array"),
+        (["bench", "--estimators", "nwj", "--set", "critic.form=joint"],
+         ["--batch-size", "20000"], "batch_size 20000 needs a 204800000000-byte critic array"),
+        (["train", "--estimator", "ba_upper"], ["--batch-size", "4", "--dim", str(10**20)],
+         f"batch_size 4 needs a {32 * 10**20}-byte batch of shape (4, {10**20})"),
+        (["train", "--estimator", "ba_lower"], ["--batch-size", str(10**20)],
+         f"batch_size {10**20} needs a {16 * 10**20}-byte batch")],
+        ids=["l1out-train", "l1out-bench", "joint-train", "joint-bench", "dim", "batch"])
+    def test_every_batch_sized_array_is_reserved(self, tmp_path, capsys, monkeypatch,
+                                                 command, sizes, message):
+        # each array is far past what malloc grants (the joint critic's first
+        # layer is 191 GiB), so it is refused at once and nothing is paged in
+        monkeypatch.setattr(mitk.cli, "train_estimator", self.never)
+        code = main(command + ["--rho", "0.5", "--dim", "2", "--steps", "1",
+                               "--out", str(tmp_path)] + sizes)
+        self.assert_clean_input_error(code, capsys.readouterr().err, tmp_path, message)
+
     def test_run_count_past_the_bound(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mitk.cli, "train_estimator", self.never)
         code = main(["bench", "--estimators", "nwj,ba_upper", "--rho", "0.5", "--dim", "2",
@@ -481,6 +524,75 @@ class TestBadInputWritesNothing:
         elapsed = time.perf_counter() - start
         self.assert_clean_input_error(code, capsys.readouterr().err, tmp_path)
         assert elapsed < 1.0
+
+
+KINDS = [k.value for k in mitk.estimators.EstimatorKind]
+# each key's small legal values; `out` is always the example's own directory
+LEGAL = {
+    "dim": st.integers(1, 3).map(str),
+    "rho": st.floats(-0.9, 0.9).map(repr),
+    "target_mi": st.floats(0.0, 2.0).map(repr),
+    "seed": st.integers(0, 3).map(str),
+    "seeds": st.integers(1, 3).map(str),
+    "workers": st.integers(1, 3).map(str),
+    "estimator": st.sampled_from(KINDS),
+    "estimators": st.lists(st.sampled_from(KINDS), min_size=1, max_size=7,
+                           unique=True).map(",".join),
+    "steps": st.integers(0, 2).map(str),
+    "batch_size": st.integers(2, 16).map(str),
+    "eval_every": st.integers(1, 3).map(str),
+    "smoothing": st.floats(0.0, 1.0).map(repr),
+    "critic.form": st.sampled_from(["joint", "separable"]),
+    "critic.widths": st.sampled_from(["", "4", "4,3"]),
+    "critic.embed": st.integers(1, 4).map(str),
+    "adam.lr": st.floats(1e-4, 1.0).map(repr),
+    "adam.beta1": st.floats(0.0, 0.99).map(repr),
+    "adam.beta2": st.floats(0.0, 0.99).map(repr),
+    "adam.eps": st.floats(1e-8, 1e-3).map(repr),
+}
+HUGE = str(10**20)  # an int no allocation can meet
+BAD = ["nan", "inf", "-inf", "-1", "0", "1e3", "", ",", "\u00e9\u00df", HUGE]
+
+
+@st.composite
+def cli_runs(draw):
+    """(command, {key: value}) for one `mitk train` or `mitk bench` run: every
+    key legal, except at most one from the bad pool (none in about one run in
+    four); the task is given by one of rho and target_mi, and steps never
+    exceeds 2, so a bad value cannot ask for a long run."""
+    bad_key = draw(st.sampled_from([None] * 6 + sorted(LEGAL)))
+    task_key = bad_key if bad_key in ("rho", "target_mi") else draw(
+        st.sampled_from(["rho", "target_mi"]))
+    values = {}
+    for key, legal in LEGAL.items():
+        if key == bad_key:  # HUGE steps would be a legal, endless run
+            values[key] = draw(st.sampled_from([v for v in BAD if (key, v) != ("steps", HUGE)]))
+        elif key == task_key or key not in ("rho", "target_mi"):
+            values[key] = draw(legal)
+    return draw(st.sampled_from(["train", "bench"])), values
+
+
+class TestFuzzConfigKeys:
+    def test_every_key_is_fuzzed(self):
+        assert set(LEGAL) | {"out"} == set(mitk.cli._KEYS)
+
+    @given(cli_runs())
+    @settings(max_examples=500, deadline=None)
+    def test_exit_code_and_no_write_on_bad_input(self, run):
+        command, values = run
+        flag = ["--estimator", "ba_upper"] if command == "train" else ["--estimators", "ba_upper"]
+        sets = [arg for key, value in values.items() for arg in ("--set", f"{key}={value}")]
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, *flag, "--out", str(out_dir), *sets])
+            err = err.getvalue()
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.startswith("error: ")
+                assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
 class TestTableMi:

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import rel_entr
+
 from mitk.discrete import (
     CondPmf,
     JointPmf2,
     JointPmf3,
     Pmf,
+    _axes_entropy,
+    _clip_residue,
+    _exact_sum,
     conditional_entropy,
     conditional_kl,
     conditional_mutual_information,
@@ -297,6 +302,13 @@ class TestFDivergence:
         assert f_divergence(f_tv, p, q, slope_at_inf=0.5) == pytest.approx(1.0, abs=1e-15)
         assert total_variation(p, q) == 1.0
 
+    def test_infinite_slope_returns_before_f_runs(self):
+        def never(t):
+            raise AssertionError("f ran")
+
+        p = Pmf(("a", "b"), [0.5, 0.5])
+        assert f_divergence(never, p, Pmf(("a", "b"), [1.0, 0.0])) == math.inf
+
     def test_js_self_is_zero(self):
         p = Pmf(("a", "b", "c"), [0.2, 0.5, 0.3])
         assert js_divergence(p, p) == 0.0
@@ -407,6 +419,129 @@ class TestChainRule:
         table = np.full((2,) * 6, 1.0 / 64)
         with pytest.raises(ValueError):
             mi_chain_rule_terms(table)
+
+
+def _sparse(rng, shape, zero_frac):
+    """A random table with about `zero_frac` of its cells zeroed, at least one
+    cell kept on the last axis of each row, each last-axis row summing to 1."""
+    table = rng.exponential(size=shape)
+    table[rng.random(shape) < zero_frac] = 0.0
+    rows = table.reshape(-1, shape[-1])
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    return table / table.sum(axis=-1, keepdims=True)
+
+
+class TestLoopOracles:
+    """The one-pass and one-kernel forms against the loops they replaced,
+    kept here as references: equal bits (`float.hex`) on random tables with
+    zero cells."""
+
+    @staticmethod
+    def conditional_kl_loop(p, q, weights):
+        terms = []
+        for i, w in enumerate(weights.probs):
+            if w == 0.0:
+                continue
+            row_kl = _clip_residue(_exact_sum(rel_entr(p.probs[i], q.probs[i])))
+            if math.isinf(row_kl):
+                return math.inf
+            terms.append(w * row_kl)
+        return _clip_residue(math.fsum(terms))
+
+    @staticmethod
+    def f_divergence_loop(f, p, q, slope_at_inf=math.inf):
+        terms = []
+        for pi, qi in zip(p.probs, q.probs):
+            if qi > 0.0:
+                terms.append(qi * f(pi / qi))
+            elif pi > 0.0:
+                if math.isinf(slope_at_inf):
+                    return math.inf
+                terms.append(pi * slope_at_inf)
+        return math.fsum(terms)
+
+    @staticmethod
+    def cmi_loop(j, conditioning):
+        a, b = sorted({0, 1, 2} - {conditioning})
+        c = conditioning
+        t = j.probs
+        v = (
+            _axes_entropy(t, tuple(sorted((a, c))))
+            + _axes_entropy(t, tuple(sorted((b, c))))
+            - _axes_entropy(t, (0, 1, 2))
+            - _axes_entropy(t, (c,))
+        )
+        return _clip_residue(v)
+
+    @staticmethod
+    def chain_loop(t):
+        n = t.ndim - 1
+        y_axis = n
+        terms = []
+        for i in range(n):
+            prefix = tuple(range(i))
+            h_prefix_i = _axes_entropy(t, prefix + (i,))
+            h_prefix_y = _axes_entropy(t, prefix + (y_axis,))
+            h_prefix_iy = _axes_entropy(t, prefix + (i, y_axis))
+            h_prefix = _axes_entropy(t, prefix) if prefix else 0.0
+            terms.append(_clip_residue(h_prefix_i + h_prefix_y - h_prefix_iy - h_prefix))
+        return terms
+
+    def test_conditional_kl(self):
+        rng = np.random.default_rng(29)
+        outcomes = {"finite": 0, "inf": 0, "finite past an infinite row": 0}
+        for trial in range(300):
+            n_given, n_target = (int(k) for k in rng.integers(2, 6, size=2))
+            p, q = (_sparse(rng, (n_given, n_target), 0.25) for _ in range(2))
+            w = random_pmf(rng, n_given).probs.copy()
+            w[rng.random(n_given) < 0.3] = 0.0
+            k = int(rng.integers(n_given))
+            w[(k + 1) % n_given] += 0.5  # weight off row k
+            if trial % 3 == 0:  # row k: zero weight, infinite divergence
+                p[k], q[k] = 1.0 / n_target, np.eye(n_target)[0]
+                w[k] = 0.0
+            given, target = tuple(range(n_given)), tuple(range(n_target))
+            p, q = CondPmf(given, target, p), CondPmf(given, target, q)
+            weights = Pmf(given, w / w.sum())
+            value = conditional_kl(p, q, weights)
+            assert value.hex() == self.conditional_kl_loop(p, q, weights).hex()
+            outcomes["inf" if math.isinf(value) else "finite"] += 1
+            outcomes["finite past an infinite row"] += trial % 3 == 0 and math.isfinite(value)
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_f_divergence(self):
+        rng = np.random.default_rng(31)
+        orphan_pairs = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            p, q = (Pmf(tuple(range(n)), _sparse(rng, (n,), 0.3)) for _ in range(2))
+            orphan_pairs += bool(np.any((q.probs == 0.0) & (p.probs > 0.0)))
+            for f, slope in ((f_kl, math.inf), (f_tv, 0.5), (f_tv, math.inf), (f_js, LN2)):
+                assert (f_divergence(f, p, q, slope_at_inf=slope).hex()
+                        == self.f_divergence_loop(f, p, q, slope).hex())
+            assert f_divergence(f_kl, p, q).hex() == self.f_divergence_loop(f_kl, p, q).hex()
+        assert 50 <= orphan_pairs <= 250, orphan_pairs
+
+    def test_conditional_mutual_information(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            shape = tuple(int(k) for k in rng.integers(1, 5, size=3))
+            probs = _sparse(rng, shape, 0.3)
+            j = JointPmf3(tuple(tuple(range(k)) for k in shape), probs / probs.sum())
+            for conditioning in (0, 1, 2):
+                assert (conditional_mutual_information(j, conditioning).hex()
+                        == self.cmi_loop(j, conditioning).hex())
+
+    @pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+    def test_chain_rule_terms(self, n_x):
+        rng = np.random.default_rng([41, n_x])
+        for _ in range(100):
+            shape = tuple(int(k) for k in rng.integers(1, 4, size=n_x + 1))
+            table = _sparse(rng, shape, 0.3)
+            table = table / table.sum()
+            terms = mi_chain_rule_terms(table)
+            assert len(terms) == n_x
+            assert [t.hex() for t in terms] == [t.hex() for t in self.chain_loop(table)]
 
 
 @st.composite
