@@ -298,13 +298,15 @@ def _cmd_bench(args) -> int:
     task = _task_from_config(config)
     tags = tuple(t.strip() for t in str(config["estimators"]).split(",") if t.strip())
     master, count = int(config["seed"]), int(config["seeds"])
-    # bad input (a typo, bad settings, a batch too large to hold, too many
-    # runs) raises here, not in every run of the pool
+    # bad input (a typo, a repeated tag, bad settings, a batch too large to
+    # hold, too many runs) raises here, not in every run of the pool
     settings = _settings_from_config(config, master)
     for tag in tags:  # each objective is dropped before the next is built
         make_objective(tag, task, settings)
     if not tags or count < 1:
         raise ValueError("estimator and seed lists must be nonempty")
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"each estimator may be listed once, got {','.join(tags)}")
     if len(tags) * count > MAX_RUNS:
         raise ValueError(f"a bench runs at most {MAX_RUNS} runs, got {len(tags)} x {count}")
     if master + count > SEED_LIMIT:

@@ -10,7 +10,8 @@ Buffers: the functions here allocate their results unless given `out=`
 arrays to write into; a forward pass can also write into the cache of an
 earlier one. A forward cache holds one array per layer, the hidden layers'
 activations and not their preactivations, and a backward pass forms the
-signal it passes down in those arrays, using the cache up. The joint
+signal it passes down in those arrays, using the cache up; `_empty_cache`
+alone shapes one, whether a pass or a training run makes it. The joint
 critic's passes run over blocks of about _TILE_ROWS pair rows, so one
 block's elementwise work and ReLU masks stay in cache. A training run
 owns its buffers: `flat_buffer` packs the components' arrays into one
@@ -89,11 +90,11 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, out=None):
     array per layer, each hidden layer's ReLU applied in place to its
     preactivation.
 
-    With `out`, a cache returned by an earlier call on as many rows, every
-    layer is written into that cache's arrays and the cache returned refers
-    to them.
+    With `out`, a cache returned by an earlier call on as many rows or by
+    `_empty_cache`, every layer is written into that cache's arrays and the
+    cache returned refers to them.
     """
-    rows = [np.empty((x.shape[0], w.shape[1])) for w in mlp.weights] if out is None else out[1:]
+    rows = (_empty_cache(mlp, x.shape[0]) if out is None else out)[1:]
     cache = [x, *rows]
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -229,14 +230,16 @@ def score_matrix_with_cache(params: CriticParams, batch, cache=None):
     return rows[-1].reshape(n, n), [(xs, ys), *rows]
 
 
-def _empty_cache(params: CriticParams, n: int, empty=np.empty):
-    """A cache for `score_matrix_with_cache` at batch size n whose arrays with
-    n^2 entries or rows, `empty(shape)` each, are all it holds: the n x n
-    table, or the joint network's layers. The towers' layers are left to
-    the first forward pass."""
+def _empty_cache(params, n: int, empty=np.empty):
+    """A forward cache at batch size n, each array `empty(shape)` and its
+    input left as None: for an `Mlp`, mlp_forward's, its layers on n rows;
+    for a critic, score_matrix_with_cache's, the separable towers' caches
+    and the n x n table, or the joint network's layers on n^2 rows."""
+    if isinstance(params, Mlp):
+        return [None, *(empty((n, w.shape[1])) for w in params.weights)]
     if params.form == "separable":
-        return None, None, empty((n, n))
-    return [None, *(empty((n * n, w.shape[1])) for w in params.nets[0].weights)]
+        return (*(_empty_cache(tower, n, empty) for tower in params.nets), empty((n, n)))
+    return _empty_cache(params.nets[0], n * n, empty)
 
 
 def backward_from_cache(params: CriticParams, cache, upstream: np.ndarray, out=None):

@@ -12,14 +12,14 @@ would already be meaningless.
 
 Training runs through one `Objective` per estimator kind (`make_objective`),
 which owns the buffers of one run: the flat parameter and gradient
-vectors, and for the critic bounds one n x n workspace plus the critic's
-forward arrays, all allocated when it is built. Nothing is kept at module
+vectors, every network's forward arrays, and for the critic bounds one
+n x n workspace, all allocated when it is built. Nothing is kept at module
 level, so concurrent runs share no state. Each critic bound is written
 once, as a value kernel and an upstream (score-gradient) kernel (`_dv`,
 `_tangent` for TUBA and NWJ, `_infonce`); an objective runs them in its
 workspace, the `*_from_scores` and `est_*` functions in a fresh one.
 `_OBJECTIVES` alone binds a kind to its objective and, for a critic
-bound, to its kernels.
+bound, to its kernels and whether it learns a baseline (TUBA).
 """
 
 from __future__ import annotations
@@ -313,14 +313,13 @@ class Objective:
     a run writes anything. The (n, dim) batch and l1out's (n, n, dim)
     density table are only checked. A critic bound keeps its n x n
     workspace, where the value's reductions and then the gradient with
-    respect to the scores are formed, and its critic's forward arrays (the
-    score table, or the joint critic's n^2-row layers). Every network's
-    forward arrays are written over by each step.
+    respect to the scores are formed. Every network keeps its forward
+    arrays (`critic._empty_cache`: the score table, or the joint critic's
+    n^2-row layers, and each network's layers), written over by each step.
     """
 
     params = grad = None
     critic = baseline = decoder = None
-    cache = None  # forward-pass arrays of the first step, written over by later steps
 
     def __init__(self, task: GaussianTask, settings: "TrainSettings"):
         self.task = task
@@ -365,6 +364,8 @@ class _BaLower(Objective):
         self.h_x = marginal_entropy(task)
         views, self.grads = self._own(nets.param_arrays(decoder.net) + [decoder.log_var])
         self.decoder = DecoderParams(nets.with_param_arrays(decoder.net, views[:-1]), views[-1])
+        n = settings.batch_size
+        self.cache = nets._empty_cache(decoder.net, n, partial(_reserve, n, what="decoder array"))
 
     def value(self, batch):
         return est_ba_lower(batch, self.decoder, self.h_x)
@@ -387,11 +388,11 @@ class _CriticBound(Objective):
 
     `kernels = (value, upstream)` is the bound's pair of kernels, bound by
     its row of `_OBJECTIVES`. `from_scores` runs the value kernel in the
-    workspace and keeps its state; `upstream` turns that state into the
-    value's gradient with respect to the scores, written into the
-    workspace. `_forward` gives the score table and the bound's arguments
-    beyond it: none, or TUBA's log-baseline. With `baseline`, a baseline
-    network shares the flat buffer, after the critic.
+    workspace and keeps its state; the upstream kernel turns that state
+    into the value's gradient with respect to the scores, written into the
+    workspace. With `baseline`, a log-baseline network shares the flat
+    buffer, after the critic, and its log a(y_j) is the kernels' one
+    argument beyond the table (TUBA).
     """
 
     def __init__(self, task: GaussianTask, settings: "TrainSettings", kernels: tuple,
@@ -409,53 +410,42 @@ class _CriticBound(Objective):
         views, grads = self._own(arrays)
         self.critic = nets.with_param_arrays(critic, views[:k])
         self.critic_grads = grads[:k]
+        n = settings.batch_size
+        empty = partial(_reserve, n, what="critic array")
+        self.work = _reserve(n, (n, n), "n x n workspace")
+        self.cache = nets._empty_cache(critic, n, empty)
         if baseline:
             self.baseline = nets.with_param_arrays(net_a, views[k:])
             self.baseline_grads = grads[k:]
-        n = settings.batch_size
-        self.work = _reserve(n, (n, n), "n x n workspace")
-        self.cache = nets._empty_cache(critic, n, partial(_reserve, n, what="critic array"))
+            self.baseline_cache = nets._empty_cache(net_a, n, empty)
 
     def _forward(self, batch):
+        """(value, score table, the kernels' arguments beyond the table)."""
         scores, self.cache = nets.score_matrix_with_cache(self.critic, batch, cache=self.cache)
-        return scores, ()
+        args = ()
+        if self.baseline is not None:
+            log_a, self.baseline_cache = nets.mlp_forward(self.baseline, batch.ys,
+                                                          out=self.baseline_cache)
+            args = (log_a[:, 0],)
+        return self.from_scores(scores, *args), scores, args
 
     def from_scores(self, scores: np.ndarray, *args) -> float:
         value, self.state = self.kernels[0](scores, self.work, *args)
         return value
 
-    def upstream(self, scores: np.ndarray, *args) -> np.ndarray:
-        return self.kernels[1](scores, self.work, self.state, *args)
-
     def value(self, batch):
-        scores, args = self._forward(batch)
-        return self.from_scores(scores, *args)
+        return self._forward(batch)[0]
 
     def value_and_grad(self, batch):
-        scores, args = self._forward(batch)
-        value = self.from_scores(scores, *args)
+        value, scores, args = self._forward(batch)
         if math.isfinite(value):
-            nets.backward_from_cache(self.critic, self.cache, self.upstream(scores, *args),
-                                     out=self.critic_grads)
-        return value
-
-
-class _Tuba(_CriticBound):
-    """The tangent bound with a learned log-baseline network."""
-
-    cache_a = None  # the baseline network's, reused like `cache`
-
-    def _forward(self, batch):
-        scores, _ = super()._forward(batch)
-        log_a, self.cache_a = nets.mlp_forward(self.baseline, batch.ys, out=self.cache_a)
-        return scores, (log_a[:, 0],)
-
-    def value_and_grad(self, batch):
-        value = super().value_and_grad(batch)
-        if math.isfinite(value):
-            # the state is the ratio z_j / a_j, and d value / d log a_j = (ratio_j - 1) / n
-            nets.mlp_backward(self.baseline, self.cache_a, ((self.state - 1.0) / batch.n)[:, None],
-                              out=self.baseline_grads)
+            upstream = self.kernels[1](scores, self.work, self.state, *args)
+            nets.backward_from_cache(self.critic, self.cache, upstream, out=self.critic_grads)
+            if self.baseline is not None:
+                # the state is the ratio z_j / a_j, and d value / d log a_j = (ratio_j - 1) / n
+                nets.mlp_backward(self.baseline, self.baseline_cache,
+                                  ((self.state - 1.0) / batch.n)[:, None],
+                                  out=self.baseline_grads)
         return value
 
 
@@ -464,7 +454,8 @@ _OBJECTIVES = {
     EstimatorKind.L1OUT: _L1Out,
     EstimatorKind.BA_LOWER: _BaLower,
     EstimatorKind.DV: partial(_CriticBound, kernels=(_dv, _dv_upstream)),
-    EstimatorKind.TUBA: partial(_Tuba, kernels=(_tangent, _tangent_upstream), baseline=True),
+    EstimatorKind.TUBA: partial(_CriticBound, kernels=(_tangent, _tangent_upstream),
+                                baseline=True),
     EstimatorKind.NWJ: partial(_CriticBound, kernels=(_tangent, _tangent_upstream)),
     EstimatorKind.INFONCE: partial(_CriticBound, kernels=(_infonce, _infonce_upstream)),
 }
@@ -582,8 +573,8 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
 
     A step draws a batch, has the run's `Objective` write the gradient into
     its flat buffer, and updates the flat parameters and Adam moments in
-    place; after the first step it allocates no array larger than a batch
-    of hidden activations.
+    place; no step, the first included, allocates an array larger than a
+    batch of hidden activations (the objective reserved the rest).
     """
     kind = EstimatorKind(kind)
     config = _run_config(kind, task, settings)

@@ -35,6 +35,17 @@ FAST = [
 ]
 
 
+def run_capped(args):
+    """`python -m mitk.cli *args` in a child with 768 MiB of address space, so
+    a command that asks for more fails there rather than filling this process."""
+    src = Path(mitk.__file__).resolve().parents[1]
+    limit = 768 << 20
+    return subprocess.run(
+        [sys.executable, "-m", "mitk.cli", *args], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
 GOLDEN_VERIFY_100_SEED0 = """\
 T01 entropy-chain-rule         trials=100    worst_slack=+4.441e-16  pass
 T02 mi-formula-agreement       trials=100    worst_slack=+0.000e+00  pass
@@ -419,7 +430,8 @@ class TestBench:
                                      ["--estimators", "ba_lower", "--set",
                                       "critic.form=bogus"],
                                      ["--dim", "0"], ["--dim", "-1"], ["--seed", "-1"],
-                                     ["--set", "seed=-1"]])
+                                     ["--set", "seed=-1"],
+                                     ["--estimators", "ba_upper,ba_upper"]])
     def test_bad_settings_are_an_input_error_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch, bad):
         def never(*args):
@@ -432,6 +444,10 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "run failed" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+# one wide layer per network on a small batch
+WIDE = ["--batch-size", "2000", "--set", "critic.widths=100000", "--set", "critic.embed=1"]
 
 
 class TestBadInputWritesNothing:
@@ -498,6 +514,24 @@ class TestBadInputWritesNothing:
                                "--out", str(tmp_path)] + sizes)
         self.assert_clean_input_error(code, capsys.readouterr().err, tmp_path, message)
 
+    @pytest.mark.parametrize("command, sizes, message", [
+        (["train", "--estimator", "ba_lower"],
+         ["--batch-size", "1000000", "--set", "critic.widths=256"],
+         "batch_size 1000000 needs a 2048000000-byte decoder array of shape (1000000, 256)"),
+        (["train", "--estimator", "nwj"], WIDE,
+         "batch_size 2000 needs a 1600000000-byte critic array of shape (2000, 100000)"),
+        (["bench", "--estimators", "tuba"], WIDE,
+         "batch_size 2000 needs a 1600000000-byte critic array of shape (2000, 100000)")],
+        ids=["ba_lower-train", "nwj-train", "tuba-bench"])
+    def test_every_network_cache_is_reserved(self, tmp_path, command, sizes, message):
+        # a network's forward arrays (ba_lower's decoder layer is 1.9 GiB, a
+        # tower layer at width 100,000 1.5 GiB) are granted untouched in an
+        # uncapped process, so only a capped child shows whether they are
+        # reserved before the run writes anything
+        done = run_capped(command + ["--rho", "0.5", "--dim", "1", "--steps", "1",
+                                     "--out", str(tmp_path)] + sizes)
+        self.assert_clean_input_error(done.returncode, done.stderr, tmp_path, message)
+
     def test_run_count_past_the_bound(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mitk.cli, "train_estimator", self.never)
         code = main(["bench", "--estimators", "nwj,ba_upper", "--rho", "0.5", "--dim", "2",
@@ -509,14 +543,8 @@ class TestBadInputWritesNothing:
     def test_huge_seed_count_exits_at_once(self, tmp_path, capsys):
         args = ["bench", "--estimators", "nwj", "--rho", "0.5", "--steps", "1",
                 "--set", f"seeds={10**23}", "--out", str(tmp_path)]
-        # first in a child with 768 MiB of address space, so code that builds
-        # the seed list fails there rather than filling this process
-        src = Path(mitk.__file__).resolve().parents[1]
-        limit = 768 << 20
-        done = subprocess.run(
-            [sys.executable, "-m", "mitk.cli", *args], capture_output=True, text=True,
-            timeout=120, env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        # first in a capped child, where code that builds the seed list fails
+        done = run_capped(args)
         self.assert_clean_input_error(done.returncode, done.stderr, tmp_path,
                                       f"got 1 x {10**23}")
         start = time.perf_counter()
@@ -572,14 +600,19 @@ def cli_runs(draw):
     return draw(st.sampled_from(["train", "bench"])), values
 
 
-class TestFuzzConfigKeys:
-    def test_every_key_is_fuzzed(self):
-        assert set(LEGAL) | {"out"} == set(mitk.cli._KEYS)
+# a small legal run for every key but the task's, each bad value put on it in turn
+BASE = {"dim": "2", "seed": "0", "seeds": "1", "workers": "1", "steps": "2", "batch_size": "4",
+        "eval_every": "1", "critic.widths": "4", "critic.embed": "2"}
+BAD_PAIRS = [(key, value) for key in sorted(LEGAL) for value in BAD
+             if (key, value) != ("steps", HUGE)]
 
-    @given(cli_runs())
-    @settings(max_examples=500, deadline=None)
-    def test_exit_code_and_no_write_on_bad_input(self, run):
-        command, values = run
+
+class TestFuzzConfigKeys:
+    @staticmethod
+    def assert_exit_contract(command, values):
+        """Runs `mitk <command>` with every key of `values` given by --set and
+        checks the exit-code contract: 0, 1 or 2, no traceback, and after 2 one
+        `error:` line and nothing written."""
         flag = ["--estimator", "ba_upper"] if command == "train" else ["--estimators", "ba_upper"]
         sets = [arg for key, value in values.items() for arg in ("--set", f"{key}={value}")]
         with tempfile.TemporaryDirectory() as tmp:
@@ -593,6 +626,25 @@ class TestFuzzConfigKeys:
             if code == 2:
                 assert err.startswith("error: ")
                 assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    def test_every_key_is_fuzzed(self):
+        assert set(LEGAL) | {"out"} == set(mitk.cli._KEYS)
+
+    @given(cli_runs())
+    @settings(max_examples=500, deadline=None)
+    def test_exit_code_and_no_write_on_bad_input(self, run):
+        self.assert_exit_contract(*run)
+
+    @pytest.mark.parametrize("key, value", BAD_PAIRS,
+                             ids=[f"{key}={value!a}" for key, value in BAD_PAIRS])
+    def test_every_bad_value_of_every_key(self, key, value):
+        # drawn, a bad value on one key seldom meets every estimator (see
+        # cli_runs): here each meets `train` with each kind and a seven-way bench
+        task = {} if key == "target_mi" else {"rho": "0.5"}
+        runs = [("train", {"estimator": kind}) for kind in KINDS]
+        runs.append(("bench", {"estimators": ",".join(KINDS)}))
+        for command, estimators in runs:
+            self.assert_exit_contract(command, {**BASE, **task, **estimators, key: value})
 
 
 class TestTableMi:
