@@ -387,7 +387,8 @@ class AdamState:
 
     `m` and `v` are float64 arrays shaped like the parameters, and `scratch`
     is one pair of work arrays for `adam_update`; `init_adam` allocates all
-    three. The hyperparameters' defaults are `estimators.TrainSettings`'s.
+    three, for a training run when its objective is built (`Objective.adam`).
+    The hyperparameters' defaults are `estimators.TrainSettings`'s.
     """
 
     m: np.ndarray

@@ -12,14 +12,14 @@ would already be meaningless.
 
 Training runs through one `Objective` per estimator kind (`make_objective`),
 which owns the buffers of one run: the flat parameter and gradient
-vectors, every network's forward arrays, and for the critic bounds one
-n x n workspace, all allocated when it is built. Nothing is kept at module
-level, so concurrent runs share no state. Each critic bound is written
-once, as a value kernel and an upstream (score-gradient) kernel (`_dv`,
-`_tangent` for TUBA and NWJ, `_infonce`); an objective runs them in its
-workspace, the `*_from_scores` and `est_*` functions in a fresh one.
-`_OBJECTIVES` alone binds a kind to its objective and, for a critic
-bound, to its kernels and whether it learns a baseline (TUBA).
+vectors, Adam's state, every network's forward arrays, and for the critic
+bounds one n x n workspace, all allocated when it is built. Nothing is
+kept at module level, so concurrent runs share no state. Each critic
+bound is written once, as a value kernel and an upstream (score-gradient)
+kernel (`_dv`, `_tangent` for TUBA and NWJ, `_infonce`); an objective
+runs them in its workspace, the `*_from_scores` and `est_*` functions in
+a fresh one. `_OBJECTIVES` alone binds a kind to its objective and, for
+a critic bound, to its kernels and whether it learns a baseline (TUBA).
 """
 
 from __future__ import annotations
@@ -220,8 +220,7 @@ def est_ba_upper(batch: SampleBatch, cond_ld, marginal_ld) -> float:
 def est_ba_lower(batch: SampleBatch, decoder: "DecoderParams", entropy_hx: float) -> float:
     """Mean decoder log-likelihood of x given y, plus the known marginal entropy."""
     mean, _ = nets.mlp_forward(decoder.net, batch.ys)
-    ll = _gaussian_ll(batch.xs - mean, np.exp(-decoder.log_var), decoder.log_var)
-    return float(ll.mean() + entropy_hx)
+    return _decoder_bound(batch, mean, decoder.log_var, entropy_hx)[0]
 
 
 def est_l1out(batch: SampleBatch, cond_ld) -> float:
@@ -272,10 +271,14 @@ def init_decoder(dim: int, hidden, seed: int) -> DecoderParams:
     return DecoderParams(nets.init_mlp((dim, *tuple(hidden), dim), rng), np.zeros(dim))
 
 
-def _gaussian_ll(resid: np.ndarray, inv_var: np.ndarray, log_var: np.ndarray) -> np.ndarray:
-    """Per-row log density of a diagonal Gaussian, given the residuals from
-    its mean and its inverse variances."""
-    return -0.5 * ((resid * resid) * inv_var + log_var + math.log(2.0 * math.pi)).sum(axis=1)
+def _decoder_bound(batch, mean, log_var, entropy_hx):
+    """The decoder bound of a batch, given the decoder's means for it:
+    (bound, residuals x - mean, inverse variances)."""
+    resid = batch.xs - mean
+    with np.errstate(over="ignore"):  # overflow -> inf, caught by divergence checks
+        inv_var = np.exp(-log_var)
+    ll = -0.5 * ((resid * resid) * inv_var + log_var + math.log(2.0 * math.pi)).sum(axis=1)
+    return float(ll.mean() + entropy_hx), resid, inv_var
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +306,23 @@ class Objective:
     of it, so an in-place update of `params` is seen by them without any
     rebuild. `value_and_grad` returns the batch value and, when it is
     finite, writes the gradient of the value (the ascent direction) into
-    the flat vector `grad`, which has the layout of `params`. The untrained
-    kinds have `params = grad = None` and only a `value`, which binds the
-    task's densities through this module's names when it runs, so a
-    wrapper put on those names sees every call.
+    the flat vector `grad`, which has the layout of `params`; `adam` is
+    the Adam state (`critic.AdamState`) that updates `params`. The
+    untrained kinds have `params = grad = adam = None` and only a `value`,
+    which binds the task's densities through this module's names when it
+    runs, so a wrapper put on those names sees every call.
 
     Building an objective allocates, untouched, every array whose size
-    grows with the batch size n, so a batch too large to hold fails before
-    a run writes anything. The (n, dim) batch and l1out's (n, n, dim)
-    density table are only checked. A critic bound keeps its n x n
+    grows with the batch size n or the parameter count, so a run too large
+    to hold fails before it writes anything. The (n, dim) batch and l1out's
+    (n, n, dim) density table are only checked. A critic bound keeps its n x n
     workspace, where the value's reductions and then the gradient with
     respect to the scores are formed. Every network keeps its forward
     arrays (`critic._empty_cache`: the score table, or the joint critic's
     n^2-row layers, and each network's layers), written over by each step.
     """
 
-    params = grad = None
+    params = grad = adam = None
     critic = baseline = decoder = None
 
     def __init__(self, task: GaussianTask, settings: "TrainSettings"):
@@ -332,10 +336,13 @@ class Objective:
     def value_and_grad(self, batch: SampleBatch) -> float:
         raise NotImplementedError(f"{type(self).__name__} has nothing to train")
 
-    def _own(self, arrays: list):
-        """Copy `arrays` into `params`; returns (parameter views, gradient views)."""
+    def _own(self, arrays: list, settings: "TrainSettings"):
+        """Copy `arrays` into `params`, with `grad` and `adam` to match;
+        returns (parameter views, gradient views)."""
         self.params, views = nets.flat_buffer(arrays)
         self.grad = np.zeros_like(self.params)
+        self.adam = nets.init_adam(self.params, lr=settings.lr, beta1=settings.beta1,
+                                   beta2=settings.beta2, eps=settings.eps)
         return views, nets.buffer_views(self.grad, arrays)
 
 
@@ -362,7 +369,7 @@ class _BaLower(Objective):
         super().__init__(task, settings)
         decoder = init_decoder(task.dim, settings.hidden, settings.seed)
         self.h_x = marginal_entropy(task)
-        views, self.grads = self._own(nets.param_arrays(decoder.net) + [decoder.log_var])
+        views, self.grads = self._own(nets.param_arrays(decoder.net) + [decoder.log_var], settings)
         self.decoder = DecoderParams(nets.with_param_arrays(decoder.net, views[:-1]), views[-1])
         n = settings.batch_size
         self.cache = nets._empty_cache(decoder.net, n, partial(_reserve, n, what="decoder array"))
@@ -373,9 +380,7 @@ class _BaLower(Objective):
     def value_and_grad(self, batch):
         decoder, n = self.decoder, batch.n
         mean, self.cache = nets.mlp_forward(decoder.net, batch.ys, out=self.cache)
-        resid = batch.xs - mean
-        inv_var = np.exp(-decoder.log_var)
-        value = float(_gaussian_ll(resid, inv_var, decoder.log_var).mean() + self.h_x)
+        value, resid, inv_var = _decoder_bound(batch, mean, decoder.log_var, self.h_x)
         if math.isfinite(value):
             nets.mlp_backward(decoder.net, self.cache, resid * inv_var / n, out=self.grads[:-1])
             np.divide(0.5 * ((resid * resid) * inv_var - 1.0).sum(axis=0), n,
@@ -407,7 +412,7 @@ class _CriticBound(Objective):
         if baseline:
             net_a = nets.init_baseline(task.dim, settings.hidden, settings.seed)
             arrays = arrays + nets.param_arrays(net_a)
-        views, grads = self._own(arrays)
+        views, grads = self._own(arrays, settings)
         self.critic = nets.with_param_arrays(critic, views[:k])
         self.critic_grads = grads[:k]
         n = settings.batch_size
@@ -561,9 +566,8 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
     """Optimize one estimator on a task; returns the evaluation trajectory.
 
     Lower bounds are ascended, the tractable upper bounds have nothing to
-    train and are simply evaluated on the same schedule. Held-out batches
-    are drawn every `eval_every` steps (plus once before any training);
-    training and evaluation use disjoint Philox streams, so a trajectory is
+    train and are simply evaluated on the same schedule. Training and
+    evaluation use disjoint Philox streams, so a trajectory is
     bit-reproducible from (config, seed) alone. Nothing trained is
     persisted: pass `return_components=True` to get `(trajectory,
     objective)`, whose `value(batch)` evaluates the trained estimator and
@@ -571,10 +575,13 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
     or simply retrain from the seed. A non-finite training objective or
     held-out estimate raises `TrainingDiverged` at the step it occurs.
 
-    A step draws a batch, has the run's `Objective` write the gradient into
-    its flat buffer, and updates the flat parameters and Adam moments in
-    place; no step, the first included, allocates an array larger than a
-    batch of hidden activations (the objective reserved the rest).
+    This is only the schedule: the run's `Objective` owns its state, Adam's
+    included, allocated when it is built. After t steps the k-th held-out
+    batch (stream 2k + 1) is evaluated if t is a multiple of `eval_every`,
+    then training step t (stream 2t + 2) writes the gradient into the
+    objective's flat buffer and updates its parameters and Adam moments in
+    place; no step allocates an array larger than a batch of hidden
+    activations.
     """
     kind = EstimatorKind(kind)
     config = _run_config(kind, task, settings)
@@ -584,34 +591,24 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
 
     records = []
     smoothed = None
-
-    def record(step: int):
-        nonlocal smoothed
-        eval_index = len(records)
-        batch = sample(task, bs, seed, stream=2 * eval_index + 1)
-        value = objective.value(batch)
-        if not math.isfinite(value):
-            raise TrainingDiverged(step, config, "held-out estimate", value)
-        smoothed = value if smoothed is None else (
-            settings.smoothing * smoothed + (1.0 - settings.smoothing) * value
-        )
-        records.append((step, value, smoothed))
-
-    record(0)
-    if objective.params is not None:
-        adam = nets.init_adam(objective.params, lr=settings.lr, beta1=settings.beta1,
-                              beta2=settings.beta2, eps=settings.eps)
-    for t in range(settings.steps):
-        if objective.params is not None:
+    for t in range(settings.steps + 1):
+        if t % settings.eval_every == 0:
+            # not bound to a name: a held-out batch kept until the next one pins freed memory
+            value = objective.value(sample(task, bs, seed, stream=2 * len(records) + 1))
+            if not math.isfinite(value):
+                raise TrainingDiverged(t, config, "held-out estimate", value)
+            smoothed = value if smoothed is None else (
+                settings.smoothing * smoothed + (1.0 - settings.smoothing) * value
+            )
+            records.append((t, value, smoothed))
+        if t < settings.steps and objective.adam is not None:
             batch = sample(task, bs, seed, stream=2 * t + 2)
             value = objective.value_and_grad(batch)
             if not math.isfinite(value):
                 raise TrainingDiverged(t, config, "objective", value)
             # Adam descends, the bounds are maximized
             np.negative(objective.grad, out=objective.grad)
-            nets.adam_update(adam, objective.params, objective.grad)
-        if (t + 1) % settings.eval_every == 0:
-            record(t + 1)
+            nets.adam_update(objective.adam, objective.params, objective.grad)
 
     trajectory = EstimateTrajectory(
         estimator=kind.value,

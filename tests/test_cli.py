@@ -243,6 +243,20 @@ class TestTrain:
         assert "non-finite held-out estimate -inf at step 40" in err
         assert not list(tmp_path.glob("nwj_*.csv"))
 
+    def test_diverged_decoder_prints_only_its_error_line(self, tmp_path, capsys):
+        # the decoder's log-variance overflows e^(-log var) at step 1; the
+        # overflow is a non-finite estimate, not a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train", "--estimator", "ba_lower", "--rho", "0.5", "--dim", "2",
+                         "--steps", "2", "--batch-size", "4", "--eval-every", "1",
+                         "--set", "critic.widths=4", "--set", "adam.lr=1e3",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: non-finite held-out estimate -inf at step 1; ")
+
     def test_memory_error_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError("Unable to allocate 1.00 TiB")
@@ -531,6 +545,17 @@ class TestBadInputWritesNothing:
         done = run_capped(command + ["--rho", "0.5", "--dim", "1", "--steps", "1",
                                      "--out", str(tmp_path)] + sizes)
         self.assert_clean_input_error(done.returncode, done.stderr, tmp_path, message)
+
+    @pytest.mark.parametrize("command", [["train", "--estimator", "nwj"],
+                                         ["bench", "--estimators", "nwj", "--seeds", "1"]])
+    def test_adam_state_is_reserved(self, tmp_path, command):
+        # 15,702,402 parameters, 120 MiB a vector: the parameters, the
+        # gradient, Adam's m and v and its scratch pair are six vectors, more
+        # than the cap holds, and all are allocated before anything is written
+        done = run_capped(command + ["--rho", "0.5", "--dim", "1", "--steps", "1",
+                                     "--batch-size", "4", "--set", "critic.widths=2800,2800",
+                                     "--set", "critic.embed=1", "--out", str(tmp_path)])
+        self.assert_clean_input_error(done.returncode, done.stderr, tmp_path)
 
     def test_run_count_past_the_bound(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mitk.cli, "train_estimator", self.never)

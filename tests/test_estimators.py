@@ -439,17 +439,33 @@ class TestTraining:
         monkeypatch.setattr(nets, "with_param_arrays",
                             lambda *args: rebuilds.append(1) or real_rebuild(*args))
         monkeypatch.setattr(nets, "adam_update",
-                            lambda state, params, grads: updated.append((params, grads))
+                            lambda state, params, grads: updated.append((state, params, grads))
                             or real_update(state, params, grads))
         _, objective = train_estimator("tuba", task, settings, return_components=True)
         assert len(rebuilds) == 2  # critic and baseline, once per run
-        # every step hands Adam the objective's own flat vectors, not copies
+        # every step hands Adam the objective's own state and flat vectors, not copies
         assert len(updated) == 5
-        assert all(p is objective.params and g is objective.grad for p, g in updated)
+        assert all(s is objective.adam and p is objective.params and g is objective.grad
+                   for s, p, g in updated)
+        assert objective.adam.step == 5
         arrays = param_arrays(objective.critic) + param_arrays(objective.baseline)
         assert all(np.shares_memory(a, objective.params) for a in arrays)
         fresh = param_arrays(init_critic(CriticArch(2, 2, hidden=(8,), embed=4), seed=1))
         assert not np.array_equal(arrays[0], fresh[0])  # the views saw the updates
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda kind: kind.value)
+    def test_objective_owns_its_adam_state(self, kind):
+        settings = TrainSettings(batch_size=8, hidden=(4,), embed=2, lr=1e-3, beta1=0.8,
+                                 beta2=0.99, eps=1e-6)
+        objective = make_objective(kind, GaussianTask(2, 0.5), settings)
+        if kind.is_upper:
+            assert objective.params is None and objective.adam is None
+            return
+        adam = objective.adam
+        assert adam.m.shape == adam.v.shape == objective.params.shape
+        assert not adam.m.any() and not adam.v.any()
+        assert adam.step == 0
+        assert (adam.lr, adam.beta1, adam.beta2, adam.eps) == (1e-3, 0.8, 0.99, 1e-6)
 
     def test_kind_direction_flags(self, monkeypatch):
         assert EstimatorKind.BA_UPPER_R.is_upper
