@@ -1,0 +1,144 @@
+"""In-process A/B timing of `mitk verify` between two source trees.
+
+BASE and HEAD are git revisions of this repository, exported with `git
+archive` to a temporary directory; a directory that holds `src/mitk` (such
+as a checkout) is copied there instead, and HEAD defaults to this script's
+own checkout. Both trees are loaded into this one process, as the packages
+`mitk_a` (BASE) and `mitk_b` (HEAD), so the pairs share the interpreter,
+its heap and the machine's state of the moment.
+
+It first prints each side's verify digest: the exit code and the sha256 of
+the stdout of `mitk verify --trials T --seed S`. Differing digests mean the
+change moved bits; that is reported, not an error. Then it times that
+command through each side's `cli.main` in N pairs, alternating which side
+runs first, and prints one line: the median head/base ratio of wall times,
+its quartiles, the number of pairs in which head was faster, and each
+side's median seconds; then the machine. BLAS is pinned to one thread
+before numpy loads, unless the environment already sets it. Writes
+nothing in the repository.
+
+    python scripts/ab.py HEAD~1                  # HEAD~1 against this checkout
+    python scripts/ab.py BASE HEAD --pairs 20 --trials 1000 --seed 0
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import hashlib
+import importlib
+import importlib.util
+import io
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread pin)
+
+REPO = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def export(tree: str, dest: Path) -> Path:
+    """Put `tree`'s `src/mitk` under `dest`; returns `dest`."""
+    if (Path(tree) / "src" / "mitk").is_dir():
+        shutil.copytree(Path(tree) / "src" / "mitk", dest / "src" / "mitk",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return dest
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", tree,
+                              "src/mitk"], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def forget(name: str) -> None:
+    """Drop the package `name` and its submodules from `sys.modules`."""
+    for key in [key for key in sys.modules if key.split(".")[0] == name]:
+        del sys.modules[key]
+
+
+def load_tree(root: Path, name: str):
+    """Import `root/src/mitk` as the top-level package `name`, afresh."""
+    forget(name)
+    package = root / "src" / "mitk"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def verify(cli, argv: list) -> tuple:
+    """(wall seconds, digest) of one `mitk verify` through `cli.main`."""
+    out = io.StringIO()
+    gc.collect()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
+        code = cli.main(["verify", *argv])
+        seconds = time.perf_counter() - start
+    return seconds, f"exit={code} stdout={hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+def machine() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{var}={os.environ.get(var, '')}" for var in THREAD_VARS)
+    return (f"machine: nproc {os.cpu_count()}, {platform.platform()}, python "
+            f"{platform.python_version()}, numpy {np.__version__} ({blas['name']} "
+            f"{blas.get('version', '?')}), {threads}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="git revision, or a directory holding src/mitk")
+    parser.add_argument("head", nargs="?", default=str(REPO),
+                        help="git revision, or a directory holding src/mitk (default: "
+                             "this checkout)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    sys.dont_write_bytecode = True
+    command = ["--trials", str(args.trials), "--seed", str(args.seed)]
+    with tempfile.TemporaryDirectory(prefix="mitk-ab-") as tmp:
+        clis = [importlib.import_module(
+                    load_tree(export(tree, Path(tmp) / name), name).__name__ + ".cli")
+                for tree, name in ((args.base, "mitk_a"), (args.head, "mitk_b"))]
+        digests = [verify(cli, command)[1] for cli in clis]
+        for side, tree, digest in zip(("base", "head"), (args.base, args.head), digests):
+            print(f"{side} {tree}: verify {' '.join(command)} {digest}")
+        if digests[0] != digests[1]:
+            print("digests differ: the change moved bits")
+        times = [], []
+        for pair in range(args.pairs):
+            for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+                times[side].append(verify(clis[side], command)[0])
+        forget("mitk_a")
+        forget("mitk_b")
+    ratios = [head / base for base, head in zip(*times)]
+    low, _, high = statistics.quantiles(ratios, n=4, method="inclusive")
+    wins = sum(ratio < 1.0 for ratio in ratios)
+    print(f"verify {' '.join(command)}: head/base median {statistics.median(ratios):.3f} "
+          f"(quartiles {low:.3f}-{high:.3f}), head faster in {wins}/{args.pairs} pairs; "
+          f"median s base {statistics.median(times[0]):.4f}, "
+          f"head {statistics.median(times[1]):.4f}")
+    print(machine())
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -68,6 +68,26 @@ def _clip_residue(value: float) -> float:
     return value
 
 
+def _row_sums(terms: np.ndarray) -> list:
+    """Each row's correctly rounded sum (math.fsum) of the stacked `terms`,
+    row i being everything under `terms[i]`; one `tolist` for the stack."""
+    return [math.fsum(row) for row in terms.reshape(len(terms), -1).tolist()]
+
+
+def _check_rows(rows: np.ndarray, what: str, row_labels=None) -> None:
+    """Raise a ValueError unless every entry of the 2-D `rows` is finite and
+    nonnegative and each row's exact sum is 1 within MASS_ATOL; a row off its
+    mass is named by its label in `row_labels`, if given."""
+    if not (rows.min() >= 0.0 and rows.max() < math.inf):  # false on NaN too
+        if np.any(rows < 0):
+            raise ValueError(f"{what} probs must be nonnegative")
+        raise ValueError(f"{what} probs must be finite")
+    for i, total in enumerate(_row_sums(rows)):
+        if abs(total - 1.0) > MASS_ATOL:
+            where = "" if row_labels is None else f" row {row_labels[i]!r}"
+            raise ValueError(f"{what} probs{where} must sum to 1 within {MASS_ATOL}, got {total!r}")
+
+
 def _validated(probs, alphabets: tuple | None, what: str, row_sums: bool = False) -> np.ndarray:
     """Read-only float copy of `probs` after the checks in the module docstring.
 
@@ -85,18 +105,13 @@ def _validated(probs, alphabets: tuple | None, what: str, row_sums: bool = False
         raise ValueError(f"{what} probs have shape {arr.shape}, alphabet lengths are {shape}")
     if arr.size == 0:
         raise ValueError(f"{what} probs must be nonempty")
-    if not (arr.min() >= 0.0 and arr.max() < math.inf):  # false on NaN too
-        if np.any(arr < 0):
-            raise ValueError(f"{what} probs must be nonnegative")
-        raise ValueError(f"{what} probs must be finite")
     for labels, count in zip(alphabets, distinct):
         if count != len(labels):
             raise ValueError(f"{what} labels must be unique, got {labels!r}")
-    for i, part in enumerate(arr if row_sums else (arr,)):
-        total = _exact_sum(part)
-        if abs(total - 1.0) > MASS_ATOL:
-            where = f" row {alphabets[0][i]!r}" if row_sums else ""
-            raise ValueError(f"{what} probs{where} must sum to 1 within {MASS_ATOL}, got {total!r}")
+    if row_sums:
+        _check_rows(arr, what, alphabets[0])
+    else:
+        _check_rows(arr.reshape(1, -1), what)
     arr.setflags(write=False)
     return arr
 
@@ -225,20 +240,22 @@ def conditional_entropy(j: JointPmf2, given: int) -> float:
     return _clip_residue(h)
 
 
-def _axes_entropy(table: np.ndarray, keep: tuple) -> float:
-    """Entropy of the marginal of `table` over the (sorted) axes in `keep`."""
-    drop = tuple(sorted(set(range(table.ndim)) - set(keep)))
-    marg = table.sum(axis=drop) if drop else table
-    return -_exact_sum(xlogy(marg, marg))
+def _axes_entropy(tables: np.ndarray, keep: tuple) -> list:
+    """Entropy of each table's marginal over its axes in `keep`, for tables
+    stacked on axis 0 of `tables` (so table axis k is axis k + 1)."""
+    drop = tuple(sorted(set(range(1, tables.ndim)) - {axis + 1 for axis in keep}))
+    marg = tables.sum(axis=drop) if drop else tables
+    return [-h for h in _row_sums(xlogy(marg, marg))]
 
 
-def _cmi(t: np.ndarray, a: int, b: int, given: tuple) -> float:
-    """I(A;B | G) on the axes a, b and `given` of `t`, as H(A,G) + H(B,G) -
-    H(A,B,G) - H(G); with no G, H(G) is 0.0 (not the entropy of the total
-    mass, which can differ from 1 by a few ulp)."""
-    h_given = _axes_entropy(t, given) if given else 0.0
-    return _clip_residue(_axes_entropy(t, given + (a,)) + _axes_entropy(t, given + (b,))
-                         - _axes_entropy(t, given + (a, b)) - h_given)
+def _cmi(tables: np.ndarray, a: int, b: int, given: tuple) -> list:
+    """I(A;B | G) on the axes a, b and `given` of each stacked table, as H(A,G)
+    + H(B,G) - H(A,B,G) - H(G); with no G, H(G) is 0.0 (not the entropy of
+    the total mass, which can differ from 1 by a few ulp)."""
+    h_given = _axes_entropy(tables, given) if given else [0.0] * len(tables)
+    return [_clip_residue(h_ag + h_bg - h_abg - h_g) for h_ag, h_bg, h_abg, h_g in zip(
+        _axes_entropy(tables, given + (a,)), _axes_entropy(tables, given + (b,)),
+        _axes_entropy(tables, given + (a, b)), h_given)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +271,12 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     """
     if p.alphabet != q.alphabet:
         raise ValueError("kl_divergence requires identical alphabets")
-    return _clip_residue(_exact_sum(rel_entr(p.probs, q.probs)))
+    return _kl(p.probs[None], q.probs[None])[0]
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> list:
+    """D(p || q) of each row pair of the stacked tables p and q."""
+    return [_clip_residue(d) for d in _row_sums(rel_entr(p, q))]
 
 
 def conditional_kl(p: CondPmf, q: CondPmf, weights: Pmf) -> float:
@@ -332,9 +354,13 @@ def total_variation(p: Pmf, q: Pmf) -> float:
 
 def mutual_information(j: JointPmf2) -> float:
     """I(X;Y) in nats, by direct summation of p(x,y) ln[p(x,y) / (p(x)p(y))]."""
-    px = j.probs.sum(axis=1)
-    py = j.probs.sum(axis=0)
-    return _clip_residue(_exact_sum(rel_entr(j.probs, np.outer(px, py))))
+    return _mi(j.probs[None])[0]
+
+
+def _mi(tables: np.ndarray) -> list:
+    """I(X;Y) of each (rows x cols) table stacked on axis 0 of `tables`."""
+    product = tables.sum(axis=2)[:, :, None] * tables.sum(axis=1)[:, None, :]
+    return [_clip_residue(i) for i in _row_sums(rel_entr(tables, product))]
 
 
 def mi_from_divergence(j: JointPmf2) -> float:
@@ -362,7 +388,7 @@ def conditional_mutual_information(j: JointPmf3, conditioning: int) -> float:
     if conditioning not in (0, 1, 2):
         raise ValueError("conditioning axis must be 0, 1, or 2")
     a, b = sorted({0, 1, 2} - {conditioning})
-    return _cmi(j.probs, a, b, (conditioning,))
+    return _cmi(j.probs[None], a, b, (conditioning,))[0]
 
 
 def mi_chain_rule_terms(table: np.ndarray) -> list:
@@ -379,7 +405,7 @@ def mi_chain_rule_terms(table: np.ndarray) -> list:
     if n > 4:
         raise ValueError(f"mi_chain_rule_terms supports at most 4 conditioned variables, got {n}")
 
-    return [_cmi(t, i, n, tuple(range(i))) for i in range(n)]
+    return [_cmi(t[None], i, n, tuple(range(i)))[0] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +444,14 @@ def random_joint3(rng, n0: int, n1: int, n2: int) -> JointPmf3:
     return JointPmf3(alphabets, _normalized(rng, (n0, n1, n2)))
 
 
+def _row_normalized(raw: np.ndarray) -> np.ndarray:
+    """`raw` with each row (along the last axis) divided by its sum."""
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
 def random_cond(rng, n_given: int, n_target: int, labels=None) -> CondPmf:
     """Random channel; `labels` is an optional (given, target) pair of alphabets."""
-    raw = rng.exponential(size=(n_given, n_target))
-    rows = raw / raw.sum(axis=1, keepdims=True)
+    rows = _row_normalized(rng.exponential(size=(n_given, n_target)))
     if labels is None:
         labels = (tuple(f"g{i}" for i in range(n_given)), tuple(f"t{i}" for i in range(n_target)))
     given, target = labels

@@ -36,6 +36,7 @@ from .gaussian import (
     SEED_LIMIT,
     GaussianTask,
     SampleBatch,
+    _sample_peak_words,
     cond_log_density,
     marginal_entropy,
     marginal_log_density,
@@ -314,7 +315,8 @@ class Objective:
 
     Building an objective allocates, untouched, every array whose size
     grows with the batch size n or the parameter count, so a run too large
-    to hold fails before it writes anything. The (n, dim) batch and l1out's
+    to hold fails before it writes anything. Sampling's working set (about
+    5x the (n, dim) batch, `gaussian._sample_peak_words`) and l1out's
     (n, n, dim) density table are only checked. A critic bound keeps its n x n
     workspace, where the value's reductions and then the gradient with
     respect to the scores are formed. Every network keeps its forward
@@ -328,7 +330,7 @@ class Objective:
     def __init__(self, task: GaussianTask, settings: "TrainSettings"):
         self.task = task
         n = settings.batch_size
-        _reserve(n, (n, task.dim), "batch")
+        _reserve(n, (_sample_peak_words(n, task.dim),), "sampling working set")
 
     def value(self, batch: SampleBatch) -> float:
         raise NotImplementedError

@@ -117,6 +117,14 @@ def sample(task: GaussianTask, n: int, seed: int, stream: int = 0) -> SampleBatc
     return SampleBatch(xs=xs, ys=ys, seed=seed, stream=stream, task=task)
 
 
+def _sample_peak_words(n: int, dim: int) -> int:
+    """float64 words `sample` holds at its peak, about 5x an (n, dim) batch:
+    x's normals while the noise's are drawn, which takes two uniforms per
+    pair, the radius, the angle, the cos and sin halves and their join."""
+    count = n * dim
+    return count + 8 * ((count + 1) // 2)
+
+
 def cond_log_density(task: GaussianTask, y, x):
     """log N(y; rho x, (1 - rho^2) I), elementwise over leading axes.
 

@@ -20,10 +20,15 @@ from .discrete import (
     JointPmf2,
     JointPmf3,
     Pmf,
+    _check_rows,
     _clip_residue,
+    _cmi,
     _derived,
     _exact_sum,
+    _kl,
+    _mi,
     _normalized,
+    _row_normalized,
     conditional_mutual_information,
     entropy,
     joint_entropy,
@@ -64,6 +69,9 @@ __all__ = [
 ALPHA_GRID = tuple(i / 10.0 for i in range(11))
 DV_STEPS = 2000
 DV_LR = 0.5
+# trials per stack in the stacked probe paths (T09's binary chains, T12's
+# duality trials), so their memory stays flat however many trials run
+_STACK = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +149,25 @@ class _Worst:
                            self.witness)
 
 
+def _track(trackers, margins, witness) -> None:
+    """Feed each tracker its list of margins in stack order; a stack row a
+    tracker keeps gets its witness, `witness(row)`, once the stack is fed."""
+    for tracker, values in zip(trackers, margins):
+        kept = tracker.witness
+        for row, value in enumerate(values):
+            tracker.update(value, row)
+        if tracker.witness is not kept:
+            tracker.witness = witness(tracker.witness)
+
+
+def _frozen_rows(arrays, row: int) -> tuple:
+    """Read-only copies of row `row` of each of the stacked `arrays`."""
+    copies = tuple(array[row].copy() for array in arrays)
+    for copy in copies:
+        copy.setflags(write=False)
+    return copies
+
+
 def _trial_rng(seed: int, probe: int, trial: int):
     return np.random.default_rng([seed, probe, trial])
 
@@ -183,17 +210,19 @@ class MarkovChainSpec:
 
 def markov_joint(spec: MarkovChainSpec) -> JointPmf3:
     """Materialize the chain's full table P(x,y,z) = P(x) P(y|x) P(z|y)."""
-    table = (
-        spec.px.probs[:, None, None]
-        * spec.py_given_x.probs[:, :, None]
-        * spec.pz_given_y.probs[None, :, :]
-    )
+    table = _markov_tables(spec.px.probs[None], spec.py_given_x.probs[None],
+                           spec.pz_given_y.probs[None])[0]
     alphabets = (
         spec.px.alphabet,
         spec.py_given_x.target_alphabet,
         spec.pz_given_y.target_alphabet,
     )
     return _derived(JointPmf3, alphabets, table)
+
+
+def _markov_tables(px: np.ndarray, pyx: np.ndarray, pzy: np.ndarray) -> np.ndarray:
+    """P(x,y,z) = P(x) P(y|x) P(z|y) for each chain whose factors are stacked on axis 0."""
+    return px[:, :, None, None] * pyx[:, :, :, None] * pzy[:, None, :, :]
 
 
 def _processing_pair(joint: JointPmf3) -> tuple:
@@ -269,25 +298,26 @@ def product_distance_minimize(j: JointPmf2) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """ln sum e^a of a 1-D array, by the operations of scipy.special.logsumexp.
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """ln sum e^a of each row of a 2-D array, by the operations of scipy.special.logsumexp.
 
-    The m entries tied at the peak are split out of the sum for precision:
-    peak + ln m + log1p(s / m), with s the sum of the other shifted terms.
-    An infinite or undefined result falls back to ln sum e^a directly.
+    The m entries tied at a row's peak are split out of its sum for
+    precision: peak + ln m + log1p(s / m), with s the sum of the other
+    shifted terms. A row whose result is infinite or undefined falls back to
+    ln sum e^a directly.
     """
-    peak = a.max()
+    peak = a.max(axis=1, keepdims=True)
     ties = a == peak
-    count = ties.sum(dtype=float)
+    count = ties.sum(axis=1, dtype=float)
     with np.errstate(invalid="ignore"):
-        rest = np.exp(np.where(ties, -np.inf, a) - peak).sum()
-    if rest != 0.0:
-        rest = rest / count
-    out = np.log1p(rest) + np.log(count) + peak
-    if not np.isfinite(out):
+        rest = np.exp(np.where(ties, -np.inf, a) - peak).sum(axis=1)
+    np.divide(rest, count, out=rest, where=rest != 0.0)
+    out = np.log1p(rest) + np.log(count) + peak[:, 0]
+    direct = ~np.isfinite(out)
+    if direct.any():
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.log(np.exp(a).sum())
-    return float(out)
+            out[direct] = np.log(np.exp(a[direct]).sum(axis=1))
+    return out
 
 
 def dv_value(p: Pmf, q: Pmf, g) -> float:
@@ -303,9 +333,16 @@ def dv_value(p: Pmf, q: Pmf, g) -> float:
         raise ValueError("score vector must have one entry per symbol")
     if not np.all(np.isfinite(g)):
         raise ValueError("score vector entries must be finite")
+    return _dv_values(p.probs[None], q.probs[None], g[None])[0]
+
+
+def _dv_values(p: np.ndarray, q: np.ndarray, g: np.ndarray) -> list:
+    """The Donsker-Varadhan objective of each row of the stacked p, q and g."""
     with np.errstate(divide="ignore"):
-        log_q = np.where(q.probs > 0, np.log(np.where(q.probs > 0, q.probs, 1.0)), -np.inf)
-    return float(p.probs @ g - _logsumexp(g + log_q))
+        log_q = np.where(q > 0, np.log(np.where(q > 0, q, 1.0)), -np.inf)
+    # one dot per row: a stacked product (einsum) rounds some rows differently
+    return [float(p_row @ g_row) - log_z
+            for p_row, g_row, log_z in zip(p, g, _logsumexp(g + log_q).tolist())]
 
 
 def dv_supremum(p: Pmf, q: Pmf) -> tuple:
@@ -695,18 +732,40 @@ def _probe_divergence_sign(trials, seed, _corrupt):
     return trials, (nonneg, equality, strict)
 
 
+def _dpi_margins(joints: np.ndarray) -> tuple:
+    """T09's margins for each stacked chain table P(x,y,z): I(X;Z) - I(X;Y),
+    I(X;Y|Z) - I(X;Y) and I(X;Z|Y), one list each."""
+    ixy, ixz = _mi(joints.sum(axis=3)), _mi(joints.sum(axis=2))
+    return ([b - a for a, b in zip(ixy, ixz)],
+            [c - a for a, c in zip(ixy, _cmi(joints, 0, 1, (2,)))],
+            _cmi(joints, 0, 2, (1,)))
+
+
+def _binary_chains(seed: int, trials: range) -> tuple:
+    """(T09's margins, the stacked factors) of the binary chains `trials`.
+
+    Each chain draws the ten numbers `random_markov_chain(rng, 2, 2, 2)`
+    draws, in one call: P(x), then the rows of P(y|x) and of P(z|y), each
+    two numbers normalized by their sum.
+    """
+    draws = np.array([_trial_rng(seed, 9, t).exponential(size=10) for t in trials])
+    rows = _row_normalized(draws.reshape(-1, 5, 2))
+    _check_rows(rows.reshape(-1, 2), "binary chain")
+    factors = rows[:, 0], rows[:, 1:3], rows[:, 3:]
+    return _dpi_margins(_markov_tables(*factors)), factors
+
+
 def _probe_dpi(trials, seed, _corrupt):
     binary = trials * 10
     dpi = _Worst("processing-margin", 1e-12)
     corollary = _Worst("conditioning-margin", 1e-12)
     markov = _Worst("chain-conditional-independence", 1e-12)
-    for t in range(binary + trials):
+    for start in range(0, binary, _STACK):
+        margins, factors = _binary_chains(seed, range(start, min(start + _STACK, binary)))
+        _track((dpi, corollary, markov), margins, functools.partial(_frozen_rows, factors))
+    for t in range(binary, binary + trials):
         rng = _trial_rng(seed, 9, t)
-        if t < binary:
-            nx = ny = nz = 2
-        else:
-            nx, ny, nz = (int(rng.integers(2, 5)) for _ in range(3))
-        spec = random_markov_chain(rng, nx, ny, nz)
+        spec = random_markov_chain(rng, *(int(rng.integers(2, 5)) for _ in range(3)))
         joint = markov_joint(spec)
         ixy, ixz = _processing_pair(joint)
         ixy_given_z = conditional_mutual_information(joint, conditioning=2)
@@ -777,14 +836,36 @@ def _probe_dv(trials, seed, _corrupt):
         q = random_pmf(rng, n, labels=p.alphabet, uniform_mix=0.1)
         _, value = dv_supremum(p, q)
         supremum.update(abs(value - kl_divergence(p, q)), (p.probs, q.probs))
-    for t in range(duality_count):
+    for start in range(0, duality_count, _STACK):
+        _track((duality,), *_duality_trials(seed, range(start, min(start + _STACK, duality_count))))
+    return count + duality_count, (supremum, duality)
+
+
+def _duality_trials(seed: int, trials: range) -> tuple:
+    """((T12's weak-duality margins,), witness) of the trials `trials`.
+
+    Each trial draws what `random_pmf` twice and its scores draw: the
+    alphabet size n, 2n exponentials for p and q, then n normal scores. The
+    trials are stacked by n; margin i, dv_value - kl_divergence, is trial
+    `trials[i]`'s and `witness(i)` is its (p, q, g).
+    """
+    by_size = {}
+    for i, t in enumerate(trials):
         rng = _trial_rng(seed, 121, t)
         n = int(rng.integers(2, 9))
-        p = random_pmf(rng, n)
-        q = random_pmf(rng, n, labels=p.alphabet)
-        g = rng.normal(scale=3.0, size=n)
-        duality.update(dv_value(p, q, g) - kl_divergence(p, q), (p.probs, q.probs, g))
-    return count + duality_count, (supremum, duality)
+        rows, draws, scores = by_size.setdefault(n, ([], [], []))
+        rows.append(i)
+        draws.append(rng.exponential(size=2 * n))
+        scores.append(rng.normal(scale=3.0, size=n))
+    margins, where = [None] * len(trials), [None] * len(trials)
+    for n, (rows, draws, scores) in by_size.items():
+        pq = _row_normalized(np.array(draws).reshape(-1, 2, n))
+        _check_rows(pq.reshape(-1, n), "stacked Pmf")
+        stack = pq[:, 0], pq[:, 1], np.array(scores)
+        for row, (i, value, kl) in enumerate(zip(rows, _dv_values(*stack), _kl(*stack[:2]))):
+            margins[i] = value - kl
+            where[i] = stack, row
+    return (margins,), lambda i: _frozen_rows(*where[i])
 
 
 def _probe_gyp(trials, seed, _corrupt):

@@ -1,0 +1,59 @@
+"""scripts/ab.py: two trees in one process, and its report line."""
+
+import importlib
+import importlib.util
+import inspect
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def ab():
+    spec = importlib.util.spec_from_file_location("ab_script", REPO / "scripts" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    module.forget("mitk_a")
+    module.forget("mitk_b")
+
+
+def test_a_tree_loaded_twice_shares_no_object(ab, tmp_path):
+    a, b = (ab.load_tree(ab.export(str(REPO), tmp_path / name), name)
+            for name in ("mitk_a", "mitk_b"))
+    for name in ("mitk_a", "mitk_b"):
+        importlib.import_module(name + ".cli")  # as ab.py times it
+    # each side's modules, keyed by their name inside the package ("" for the package)
+    modules = {side: {key.partition(".")[2]: module for key, module in sys.modules.items()
+                      if key.split(".")[0] == side} for side in ("mitk_a", "mitk_b")}
+    assert set(modules["mitk_a"]) == set(modules["mitk_b"]) >= {"", "discrete", "cli"}
+    checked = 0
+    for key, module_a in modules["mitk_a"].items():
+        module_b = modules["mitk_b"][key]
+        assert module_a is not module_b
+        own = [name for name, value in vars(module_a).items()
+               if (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__.split(".")[0] == "mitk_a"]
+        for name in own:
+            assert getattr(module_a, name) is not getattr(module_b, name), (key, name)
+        checked += len(own)
+    assert checked > 100, checked
+    # each tree binds its own copies across its modules
+    assert a.variational.kl_divergence is a.discrete.kl_divergence
+    assert b.variational.kl_divergence is not a.discrete.kl_divergence
+
+
+def test_two_pairs_print_the_report_line(ab, capsys):
+    assert ab.main([str(REPO), str(REPO), "--pairs", "2", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    digests = [line.split(": ", 1)[1] for line in lines[:2]]
+    assert digests[0] == digests[1] and "exit=0 stdout=" in digests[0]
+    assert re.fullmatch(r"verify --trials 1 --seed 0: head/base median \d+\.\d{3} "
+                        r"\(quartiles \d+\.\d{3}-\d+\.\d{3}\), head faster in [0-2]/2 pairs; "
+                        r"median s base \d+\.\d{4}, head \d+\.\d{4}", lines[2])
+    assert lines[3].startswith("machine: nproc ")
+    assert "mitk_a" not in sys.modules and "mitk_b" not in sys.modules

@@ -514,10 +514,12 @@ class TestBadInputWritesNothing:
          ["--batch-size", "20000"], "batch_size 20000 needs a 204800000000-byte critic array"),
         (["bench", "--estimators", "nwj", "--set", "critic.form=joint"],
          ["--batch-size", "20000"], "batch_size 20000 needs a 204800000000-byte critic array"),
+        # sampling holds 5 batches' worth: 8 bytes a word, 5 words a cell
         (["train", "--estimator", "ba_upper"], ["--batch-size", "4", "--dim", str(10**20)],
-         f"batch_size 4 needs a {32 * 10**20}-byte batch of shape (4, {10**20})"),
+         f"batch_size 4 needs a {160 * 10**20}-byte sampling working set of shape "
+         f"({20 * 10**20},)"),
         (["train", "--estimator", "ba_lower"], ["--batch-size", str(10**20)],
-         f"batch_size {10**20} needs a {16 * 10**20}-byte batch")],
+         f"batch_size {10**20} needs a {80 * 10**20}-byte sampling working set")],
         ids=["l1out-train", "l1out-bench", "joint-train", "joint-bench", "dim", "batch"])
     def test_every_batch_sized_array_is_reserved(self, tmp_path, capsys, monkeypatch,
                                                  command, sizes, message):
@@ -556,6 +558,17 @@ class TestBadInputWritesNothing:
                                      "--batch-size", "4", "--set", "critic.widths=2800,2800",
                                      "--set", "critic.embed=1", "--out", str(tmp_path)])
         self.assert_clean_input_error(done.returncode, done.stderr, tmp_path)
+
+    @pytest.mark.parametrize("command", [["train", "--estimator", "ba_upper"],
+                                         ["bench", "--estimators", "ba_upper", "--seeds", "1"]])
+    def test_sampling_working_set_is_reserved(self, tmp_path, command):
+        # a 20000 x 1000 batch is 153 MiB, and sampling it holds five of
+        # those, more than the cap leaves; one or two would fit
+        done = run_capped(command + ["--rho", "0.5", "--dim", "1000", "--steps", "0",
+                                     "--batch-size", "20000", "--out", str(tmp_path)])
+        self.assert_clean_input_error(done.returncode, done.stderr, tmp_path,
+                                      "batch_size 20000 needs a 800000000-byte sampling "
+                                      "working set")
 
     def test_run_count_past_the_bound(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mitk.cli, "train_estimator", self.never)

@@ -1,12 +1,14 @@
 """Gaussian benchmark tasks: closed forms, sampling determinism, densities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mitk.gaussian import (
     GaussianTask,
+    _sample_peak_words,
     cond_log_density,
     marginal_entropy,
     marginal_log_density,
@@ -110,6 +112,21 @@ class TestSampling:
         assert batch.xs.shape == (17, 5)
         assert batch.n == 17
         assert batch.task == task
+
+
+    @pytest.mark.parametrize("n, dim", [(1000, 50), (999, 51), (128, 20), (20000, 9)])
+    def test_peak_words_are_what_sampling_holds(self, n, dim):
+        # the count an objective reserves is sampling's traced peak, up to a
+        # few hundred bytes of array headers, for even and odd cell counts
+        task = GaussianTask(dim, 0.5)
+        tracemalloc.start()
+        try:
+            sample(task, n, seed=0, stream=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        words = _sample_peak_words(n, dim)
+        assert 8 * words <= peak <= 8 * words + 4096, (peak, 8 * words)
 
 
 class TestDensities:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from mitk.discrete import (
     JointPmf2,
     JointPmf3,
     Pmf,
+    _clip_residue,
     joint_from_factors,
     kl_divergence,
     mi_from_divergence,
@@ -25,6 +27,7 @@ from mitk.discrete import (
     random_pmf,
 )
 from mitk.variational import (
+    _STACK,
     CheckResult,
     MarkovChainSpec,
     Partition,
@@ -44,6 +47,18 @@ from mitk.variational import (
     product_distance_minimize,
     random_markov_chain,
     run_probe_suite,
+)
+from mitk.variational import (
+    _Worst,
+    _binary_chains,
+    _dpi_margins,
+    _duality_trials,
+    _frozen_rows,
+    _markov_tables,
+    _probe_dpi,
+    _probe_dv,
+    _track,
+    _trial_rng,
 )
 
 # frozen oracles (direct summation)
@@ -259,10 +274,16 @@ class TestDonskerVaradhan:
             if rng.uniform() < 0.3:
                 a[rng.integers(a.size, size=2)] = a.max()  # ties at the peak
             vectors.append(a)
+        by_size = {}
         for a in vectors:
             with np.errstate(all="ignore"):
                 expected = float(scipy.special.logsumexp(a))
-            assert mitk.variational._logsumexp(a).hex() == expected.hex(), a
+            assert mitk.variational._logsumexp(a[None])[0].hex() == expected.hex(), a
+            by_size.setdefault(a.size, ([], []))[0].append(a)
+            by_size[a.size][1].append(expected.hex())
+        # each row of a stack, the fallback rows included, as on its own
+        for rows, expected in by_size.values():
+            assert [v.hex() for v in mitk.variational._logsumexp(np.array(rows))] == expected
 
     def test_requires_full_support(self):
         p = Pmf(("a", "b"), [1.0, 0.0])
@@ -654,6 +675,9 @@ GOLDEN_CHECK_DIGESTS = {
     (20, 0, False): "fd0f35d1de06762f1e4d378762f129d36e21d39fe8e5431009e4ffa60b961465",
     (20, 7, False): "f0fa539b0305c7324b9f8e933b4f796b6ef0892fdfe598ed48ad885b2a335c10",
     (20, 0, True): "331271d94e2cf35d01e504c80d5efac573324149c8a2098b0747a0004e603dc8",
+    # 1,000 binary chains and 1,000 duality trials each, one stack of each
+    (100, 0, False): "f45a046b71d922e5d13e806f57ed1d3e866bf0496fa0d5c4468d9ba3abf652d9",
+    (100, 7, False): "fe7aee32ee1b26ade8b062eeca550a1b82443942540d6c78c26fb62bd1565885",
 }
 
 
@@ -708,3 +732,129 @@ class TestProbeSuite:
         # wall seconds are carried on each report but are no part of its result
         assert [replace(r, checks=()) for r in a] == [replace(r, checks=()) for r in b]
         assert all(r.seconds > 0.0 for r in a)
+
+
+def _mi_oracle(table):
+    product = np.outer(table.sum(axis=1), table.sum(axis=0))
+    return _clip_residue(math.fsum(scipy.special.rel_entr(table, product).ravel().tolist()))
+
+
+def _cmi_oracle(table, conditioning):
+    def h(keep):
+        drop = tuple(sorted({0, 1, 2} - set(keep)))
+        marg = table.sum(axis=drop) if drop else table
+        return -math.fsum(scipy.special.xlogy(marg, marg).ravel().tolist())
+
+    a, b = sorted({0, 1, 2} - {conditioning})
+    c = conditioning
+    return _clip_residue(h((a, c)) + h((b, c)) - h((a, b, c)) - h((c,)))
+
+
+def dpi_trial(seed, t):
+    """T09's margins and witness for chain t, one generator call and one table
+    at a time, each quantity computed as it was before the kernels took stacks."""
+    rng = _trial_rng(seed, 9, t)
+    if t < 10 * TRIALS:
+        nx = ny = nz = 2
+    else:
+        nx, ny, nz = (int(rng.integers(2, 5)) for _ in range(3))
+    spec = random_markov_chain(rng, nx, ny, nz)
+    joint = (spec.px.probs[:, None, None] * spec.py_given_x.probs[:, :, None]
+             * spec.pz_given_y.probs[None, :, :])
+    ixy, ixz = _mi_oracle(joint.sum(axis=2)), _mi_oracle(joint.sum(axis=1))
+    margins = (ixz - ixy, _cmi_oracle(joint, 2) - ixy, _cmi_oracle(joint, 1))
+    return margins, (spec.px.probs, spec.py_given_x.probs, spec.pz_given_y.probs)
+
+
+def duality_trial(seed, t):
+    """T12's weak-duality margin and witness for trial t, one table at a time,
+    the log-partition by scipy (which the DV kernel matches bit for bit)."""
+    rng = _trial_rng(seed, 121, t)
+    n = int(rng.integers(2, 9))
+    p = random_pmf(rng, n)
+    q = random_pmf(rng, n, labels=p.alphabet)
+    g = rng.normal(scale=3.0, size=n)
+    value = float(p.probs @ g) - float(scipy.special.logsumexp(g + np.log(q.probs)))
+    kl = _clip_residue(math.fsum(scipy.special.rel_entr(p.probs, q.probs).tolist()))
+    return (value - kl,), (p.probs, q.probs, g)
+
+
+# enough trials for three stacks of each stacked path, the last one partial
+TRIALS = 2 * _STACK // 10 + 7
+
+
+def _same_witness(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not a.flags.writeable
+
+
+class TestStackedProbes:
+    """T09's binary chains and T12's duality trials run as stacks; each trial
+    keeps the bits of the per-table path, which stays here as the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_binary_chains_match_the_per_table_path(self, seed):
+        oracle = [dpi_trial(seed, t) for t in range(10 * TRIALS + TRIALS)]
+        for start in range(0, 10 * TRIALS, _STACK):
+            trials = range(start, min(start + _STACK, 10 * TRIALS))
+            margins, factors = _binary_chains(seed, trials)
+            for row, t in enumerate(trials):
+                assert [m[row].hex() for m in margins] == [m.hex() for m in oracle[t][0]]
+                _same_witness(_frozen_rows(factors, row), oracle[t][1])
+        trackers = [_Worst("", 0.0) for _ in range(3)]
+        for margins, witness in oracle:
+            for tracker, margin in zip(trackers, margins):
+                tracker.update(margin, witness)
+        trials_run, stacked = _probe_dpi(TRIALS, seed, False)
+        assert trials_run == 11 * TRIALS
+        for got, expected in zip(stacked, trackers):
+            assert got.value.hex() == expected.value.hex()
+            _same_witness(got.witness, expected.witness)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_duality_trials_match_the_per_table_path(self, seed):
+        oracle = [duality_trial(seed, t) for t in range(10 * TRIALS)]
+        for start in range(0, 10 * TRIALS, _STACK):
+            trials = range(start, min(start + _STACK, 10 * TRIALS))
+            (margins,), witness = _duality_trials(seed, trials)
+            for row, t in enumerate(trials):
+                assert margins[row].hex() == oracle[t][0][0].hex()
+                _same_witness(witness(row), oracle[t][1])
+        tracker = _Worst("", 0.0)
+        for (margin,), witness in oracle:
+            tracker.update(margin, witness)
+        trials_run, (_, duality) = _probe_dv(TRIALS, seed, False)
+        assert trials_run == TRIALS // 10 + 10 * TRIALS
+        assert duality.value.hex() == tracker.value.hex()
+        _same_witness(duality.witness, tracker.witness)
+
+    def test_first_nan_row_stays_the_worst(self):
+        margins, factors = _binary_chains(0, range(20))
+        joints = _markov_tables(*factors)
+        joints[[7, 12]] = math.nan
+        margins = _dpi_margins(joints)
+        assert all(math.isnan(m[7]) and math.isnan(m[12]) for m in margins)
+        trackers = [_Worst("", 0.0) for _ in margins]
+        for tracker in trackers:
+            tracker.update(5.0, "an earlier stack")
+        _track(trackers, margins, lambda row: row)
+        # a later stack with a larger margin does not displace the NaN either
+        _track(trackers, [[9.0]] * 3, lambda row: "a later stack")
+        for tracker in trackers:
+            assert math.isnan(tracker.value) and tracker.witness == 7
+            assert not tracker.check().passed
+
+    @pytest.mark.parametrize("probe", [_probe_dpi, _probe_dv])
+    def test_memory_stays_flat_in_the_trial_count(self, probe):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                probe(trials, 0, False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(_STACK // 10), peak(4 * _STACK // 10)
+        assert four <= 1.5 * one, (one, four)
