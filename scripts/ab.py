@@ -1,4 +1,5 @@
-"""In-process A/B timing of `mitk verify` between two source trees.
+"""In-process A/B timing of `mitk verify` or of one training run between
+two source trees.
 
 BASE and HEAD are git revisions of this repository, exported with `git
 archive` to a temporary directory; a directory that holds `src/mitk` (such
@@ -7,18 +8,26 @@ own checkout. Both trees are loaded into this one process, as the packages
 `mitk_a` (BASE) and `mitk_b` (HEAD), so the pairs share the interpreter,
 its heap and the machine's state of the moment.
 
-It first prints each side's verify digest: the exit code and the sha256 of
-the stdout of `mitk verify --trials T --seed S`. Differing digests mean the
-change moved bits; that is reported, not an error. Then it times that
-command through each side's `cli.main` in N pairs, alternating which side
-runs first, and prints one line: the median head/base ratio of wall times,
-its quartiles, the number of pairs in which head was faster, and each
-side's median seconds; then the machine. BLAS is pinned to one thread
-before numpy loads, unless the environment already sets it. Writes
-nothing in the repository.
+The operation, named first and `verify` unless given, is one of:
 
-    python scripts/ab.py HEAD~1                  # HEAD~1 against this checkout
+- `verify`: `mitk verify --trials T --seed S` through each side's
+  `cli.main`; its digest is the exit code and the sha256 of the stdout.
+- `train`: `train_estimator` for one `--estimator` and `--form` at the
+  benchmark configuration (d=20, 2 nats, batch 128, 64-64 towers, embed
+  32) for `--steps` steps from `--seed`; its digest is the sha256 of the
+  trajectory CSV and of the trained flat-parameter vector.
+
+It first prints each side's digest. Differing digests mean the change
+moved bits; that is reported, not an error. Then it runs the operation on
+each side in N pairs, alternating which side runs first, and prints one
+line: the median head/base ratio of wall times, its quartiles, the number
+of pairs in which head was faster, and each side's median seconds; then
+the machine. BLAS is pinned to one thread before numpy loads, unless the
+environment already sets it. Writes nothing in the repository.
+
+    python scripts/ab.py HEAD~1                  # verify, HEAD~1 against this checkout
     python scripts/ab.py BASE HEAD --pairs 20 --trials 1000 --seed 0
+    python scripts/ab.py train BASE --estimator nwj --form separable --steps 500
 """
 
 from __future__ import annotations
@@ -81,15 +90,43 @@ def load_tree(root: Path, name: str):
     return module
 
 
-def verify(cli, argv: list) -> tuple:
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def verify(mitk, args) -> tuple:
     """(wall seconds, digest) of one `mitk verify` through `cli.main`."""
+    cli = importlib.import_module(mitk.__name__ + ".cli")
+    argv = ["--trials", str(args.trials), "--seed", str(args.seed)]
     out = io.StringIO()
     gc.collect()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         start = time.perf_counter()
         code = cli.main(["verify", *argv])
         seconds = time.perf_counter() - start
-    return seconds, f"exit={code} stdout={hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+    return seconds, f"exit={code} stdout={_sha(out.getvalue().encode())}"
+
+
+def train(mitk, args) -> tuple:
+    """(wall seconds, digest) of one `train_estimator` run at the benchmark
+    configuration; an untrained estimator has no parameters ("-")."""
+    estimators = mitk.estimators
+    task = mitk.gaussian.task_for_target_mi(20, 2.0)
+    settings = estimators.TrainSettings(steps=args.steps, batch_size=128, seed=args.seed,
+                                        critic_form=args.form)
+    gc.collect()
+    start = time.perf_counter()
+    trajectory, objective = estimators.train_estimator(args.estimator, task, settings,
+                                                       return_components=True)
+    seconds = time.perf_counter() - start
+    csv = _sha(estimators.trajectory_csv_text(trajectory).encode())
+    params = "-" if objective.params is None else _sha(objective.params.tobytes())
+    return seconds, f"csv={csv} params={params}"
+
+
+# operation: (function, the options its run depends on)
+OPERATIONS = {"verify": (verify, ("trials", "seed")),
+              "train": (train, ("estimator", "form", "steps", "seed"))}
 
 
 def machine() -> str:
@@ -101,38 +138,47 @@ def machine() -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading operation name; a revision so named goes after one: `ab.py verify train`
+    name = argv.pop(0) if argv and argv[0] in OPERATIONS else "verify"
+    operation, options = OPERATIONS[name]
+    parser = argparse.ArgumentParser(prog=f"ab.py {name}",
+                                     description=" ".join(__doc__.splitlines()[:2]))
     parser.add_argument("base", help="git revision, or a directory holding src/mitk")
     parser.add_argument("head", nargs="?", default=str(REPO),
                         help="git revision, or a directory holding src/mitk (default: "
                              "this checkout)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--trials", type=int, default=100, help="verify: probe trials")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--estimator", default="nwj", help="train: the estimator kind",
+                        choices=("ba_upper", "ba_lower", "l1out", "dv", "tuba", "nwj", "infonce"))
+    parser.add_argument("--form", default="separable", choices=("separable", "joint"),
+                        help="train: the critic form")
+    parser.add_argument("--steps", type=int, default=200, help="train: training steps")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     sys.dont_write_bytecode = True
-    command = ["--trials", str(args.trials), "--seed", str(args.seed)]
+    label = " ".join([name] + [f"--{key} {getattr(args, key)}" for key in options])
     with tempfile.TemporaryDirectory(prefix="mitk-ab-") as tmp:
-        clis = [importlib.import_module(
-                    load_tree(export(tree, Path(tmp) / name), name).__name__ + ".cli")
-                for tree, name in ((args.base, "mitk_a"), (args.head, "mitk_b"))]
-        digests = [verify(cli, command)[1] for cli in clis]
+        sides = [load_tree(export(tree, Path(tmp) / package), package)
+                 for tree, package in ((args.base, "mitk_a"), (args.head, "mitk_b"))]
+        digests = [operation(side, args)[1] for side in sides]
         for side, tree, digest in zip(("base", "head"), (args.base, args.head), digests):
-            print(f"{side} {tree}: verify {' '.join(command)} {digest}")
+            print(f"{side} {tree}: {label} {digest}")
         if digests[0] != digests[1]:
             print("digests differ: the change moved bits")
         times = [], []
         for pair in range(args.pairs):
             for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
-                times[side].append(verify(clis[side], command)[0])
+                times[side].append(operation(sides[side], args)[0])
         forget("mitk_a")
         forget("mitk_b")
     ratios = [head / base for base, head in zip(*times)]
     low, _, high = statistics.quantiles(ratios, n=4, method="inclusive")
     wins = sum(ratio < 1.0 for ratio in ratios)
-    print(f"verify {' '.join(command)}: head/base median {statistics.median(ratios):.3f} "
+    print(f"{label}: head/base median {statistics.median(ratios):.3f} "
           f"(quartiles {low:.3f}-{high:.3f}), head faster in {wins}/{args.pairs} pairs; "
           f"median s base {statistics.median(times[0]):.4f}, "
           f"head {statistics.median(times[1]):.4f}")

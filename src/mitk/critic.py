@@ -122,12 +122,15 @@ def mlp_backward(mlp: Mlp, cache, dout: np.ndarray, out=None, dinput=None):
     for i in range(len(mlp.weights) - 1, -1, -1):
         np.matmul(cache[i].T, dz, out=grads[2 * i])
         np.sum(dz, axis=0, out=grads[2 * i + 1])
+        # below a width-1 layer dz @ w.T is an outer product: a broadcast multiply
+        # forms each cell's one rounded product, as the K=1 matmul does, in less time
+        down = np.multiply if mlp.weights[i].shape[1] == 1 else np.matmul
         if i > 0:
             h = cache[i]
             mask = h > 0.0
-            dz = np.multiply(np.matmul(dz, mlp.weights[i].T, out=h), mask, out=h)
+            dz = np.multiply(down(dz, mlp.weights[i].T, out=h), mask, out=h)
         elif dinput is not None:
-            np.matmul(dz, mlp.weights[0].T, out=dinput)
+            down(dz, mlp.weights[0].T, out=dinput)
     return grads
 
 

@@ -11,15 +11,16 @@ default scales the raw scores can reach +-30, where naive exponentials
 would already be meaningless.
 
 Training runs through one `Objective` per estimator kind (`make_objective`),
-which owns the buffers of one run: the flat parameter and gradient
-vectors, Adam's state, every network's forward arrays, and for the critic
-bounds one n x n workspace, all allocated when it is built. Nothing is
-kept at module level, so concurrent runs share no state. Each critic
-bound is written once, as a value kernel and an upstream (score-gradient)
-kernel (`_dv`, `_tangent` for TUBA and NWJ, `_infonce`); an objective
-runs them in its workspace, the `*_from_scores` and `est_*` functions in
-a fresh one. `_OBJECTIVES` alone binds a kind to its objective and, for
-a critic bound, to its kernels and whether it learns a baseline (TUBA).
+which owns the buffers of one run: the sampled batch, the flat parameter
+and gradient vectors, Adam's state, every network's forward arrays, and
+for the critic bounds one n x n workspace, all allocated when it is
+built. Nothing is kept at module level, so concurrent runs share no
+state. Each critic bound is written once, as a value kernel and an
+upstream (score-gradient) kernel (`_dv`, `_tangent` for TUBA and NWJ,
+`_infonce`); an objective runs them in its workspace, the
+`*_from_scores` and `est_*` functions in a fresh one. `_OBJECTIVES`
+alone binds a kind to its objective and, for a critic bound, to its
+kernels and whether it learns a baseline (TUBA).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .gaussian import (
     SEED_LIMIT,
     GaussianTask,
     SampleBatch,
-    _sample_peak_words,
+    SampleBuffers,
     cond_log_density,
     marginal_entropy,
     marginal_log_density,
@@ -218,9 +219,11 @@ def est_ba_upper(batch: SampleBatch, cond_ld, marginal_ld) -> float:
     return float(np.mean(cond_ld(batch.ys, batch.xs) - marginal_ld(batch.ys)))
 
 
-def est_ba_lower(batch: SampleBatch, decoder: "DecoderParams", entropy_hx: float) -> float:
-    """Mean decoder log-likelihood of x given y, plus the known marginal entropy."""
-    mean, _ = nets.mlp_forward(decoder.net, batch.ys)
+def est_ba_lower(batch: SampleBatch, decoder: "DecoderParams", entropy_hx: float,
+                 cache=None) -> float:
+    """Mean decoder log-likelihood of x given y, plus the known marginal entropy;
+    the decoder's forward runs into `cache` if given (see `critic.mlp_forward`)."""
+    mean, _ = nets.mlp_forward(decoder.net, batch.ys, out=cache)
     return _decoder_bound(batch, mean, decoder.log_var, entropy_hx)[0]
 
 
@@ -315,11 +318,14 @@ class Objective:
 
     Building an objective allocates, untouched, every array whose size
     grows with the batch size n or the parameter count, so a run too large
-    to hold fails before it writes anything. Sampling's working set (about
-    5x the (n, dim) batch, `gaussian._sample_peak_words`) and l1out's
-    (n, n, dim) density table are only checked. A critic bound keeps its n x n
-    workspace, where the value's reductions and then the gradient with
-    respect to the scores are formed. Every network keeps its forward
+    to hold fails before it writes anything. `samples` are the run's
+    `gaussian.SampleBuffers`, which every batch of the run is drawn into, so
+    a batch is valid until the next draw. A value's working set (three
+    (n, dim) batches, about what ba_upper's and ba_lower's values hold
+    beyond the batch) and l1out's (n, n, dim) density table are only
+    checked. A critic bound keeps its n x n workspace, where the value's
+    reductions and then the gradient with respect to the scores are
+    formed. Every network keeps its forward
     arrays (`critic._empty_cache`: the score table, or the joint critic's
     n^2-row layers, and each network's layers), written over by each step.
     """
@@ -330,7 +336,8 @@ class Objective:
     def __init__(self, task: GaussianTask, settings: "TrainSettings"):
         self.task = task
         n = settings.batch_size
-        _reserve(n, (_sample_peak_words(n, task.dim),), "sampling working set")
+        self.samples = SampleBuffers(n, task.dim, partial(_reserve, n, what="sample array"))
+        _reserve(n, (3, n, task.dim), "value working set")
 
     def value(self, batch: SampleBatch) -> float:
         raise NotImplementedError
@@ -377,7 +384,7 @@ class _BaLower(Objective):
         self.cache = nets._empty_cache(decoder.net, n, partial(_reserve, n, what="decoder array"))
 
     def value(self, batch):
-        return est_ba_lower(batch, self.decoder, self.h_x)
+        return est_ba_lower(batch, self.decoder, self.h_x, cache=self.cache)
 
     def value_and_grad(self, batch):
         decoder, n = self.decoder, batch.n
@@ -582,8 +589,9 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
     batch (stream 2k + 1) is evaluated if t is a multiple of `eval_every`,
     then training step t (stream 2t + 2) writes the gradient into the
     objective's flat buffer and updates its parameters and Adam moments in
-    place; no step allocates an array larger than a batch of hidden
-    activations.
+    place. Both batches are drawn into the objective's `samples`, so each is
+    valid until the next draw; no step allocates an array larger than a
+    batch of hidden activations.
     """
     kind = EstimatorKind(kind)
     config = _run_config(kind, task, settings)
@@ -595,8 +603,8 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
     smoothed = None
     for t in range(settings.steps + 1):
         if t % settings.eval_every == 0:
-            # not bound to a name: a held-out batch kept until the next one pins freed memory
-            value = objective.value(sample(task, bs, seed, stream=2 * len(records) + 1))
+            batch = sample(task, bs, seed, stream=2 * len(records) + 1, out=objective.samples)
+            value = objective.value(batch)
             if not math.isfinite(value):
                 raise TrainingDiverged(t, config, "held-out estimate", value)
             smoothed = value if smoothed is None else (
@@ -604,7 +612,7 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
             )
             records.append((t, value, smoothed))
         if t < settings.steps and objective.adam is not None:
-            batch = sample(task, bs, seed, stream=2 * t + 2)
+            batch = sample(task, bs, seed, stream=2 * t + 2, out=objective.samples)
             value = objective.value_and_grad(batch)
             if not math.isfinite(value):
                 raise TrainingDiverged(t, config, "objective", value)

@@ -5,7 +5,10 @@ correlation rho, so the exact mutual information, the conditional density
 of Y given X, and both marginals are available in closed form. Sampling is
 counter-based (Philox keyed by seed and stream index, normals via
 Box-Muller), so batches are bit-reproducible regardless of thread
-scheduling or call order.
+scheduling or call order. A batch is written into `SampleBuffers`, which a
+training run owns and draws every batch into (its objective's `samples`),
+or which `sample` builds afresh; a batch drawn into buffers is valid until
+the next draw into the same buffers.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ SEED_LIMIT = 2**64  # a seed is one of the two uint64 words of a Philox key
 __all__ = [
     "GaussianTask",
     "SampleBatch",
+    "SampleBuffers",
     "true_mi",
     "rho_for_target_mi",
     "task_for_target_mi",
@@ -87,42 +91,72 @@ def task_for_target_mi(dim: int, target_mi: float) -> GaussianTask:
     return GaussianTask(dim, rho_for_target_mi(target_mi, dim))
 
 
-def _standard_normals(seed: int, stream: int, shape: tuple) -> np.ndarray:
-    """Box-Muller normals from a Philox generator keyed by (seed, stream)."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    count = int(np.prod(shape))
-    pairs = (count + 1) // 2
-    u = gen.random((2, pairs))
-    radius = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1 - u in (0, 1], so the log is finite
-    angle = 2.0 * math.pi * u[1]
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return z[:count].reshape(shape)
+class SampleBuffers:
+    """What a batch of n draws at dimension `dim` is written into: `xs`, `ys`,
+    one (2, (n dim + 1) // 2) block of Box-Muller uniforms, which is also the
+    scratch for rho x, and one Philox generator, re-keyed for each draw.
+    `empty(shape)` allocates each array."""
+
+    def __init__(self, n: int, dim: int, empty=np.empty):
+        self.xs = empty((n, dim))
+        self.ys = empty((n, dim))
+        self.uniforms = empty((2, (n * dim + 1) // 2))
+        self.philox = np.random.Philox(key=0)
+        self.gen = np.random.Generator(self.philox)
+
+    def _normals(self, seed: int, stream: int, out: np.ndarray) -> None:
+        """Box-Muller normals keyed (seed, stream) into `out`: the radius times
+        the cosines of the angles, then times their sines, cut to out's size.
+        The generator starts in the state of Philox(key=(seed, stream)), so
+        nothing carries over from an earlier draw."""
+        self.philox.state = {"bit_generator": "Philox",
+                             "state": {"counter": (0, 0, 0, 0), "key": (seed, stream)},
+                             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                             "has_uint32": 0, "uinteger": 0}
+        self.gen.random(out=self.uniforms)
+        radius, angle = self.uniforms
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)  # 1 - u in (0, 1], so the log is finite
+        np.multiply(radius, -2.0, out=radius)
+        np.sqrt(radius, out=radius)
+        np.multiply(angle, 2.0 * math.pi, out=angle)
+        z = out.reshape(-1)
+        head, tail = z[:angle.size], z[angle.size:]
+        np.cos(angle, out=head)
+        np.multiply(head, radius, out=head)
+        np.sin(angle[:tail.size], out=tail)
+        np.multiply(tail, radius[:tail.size], out=tail)
 
 
-def sample(task: GaussianTask, n: int, seed: int, stream: int = 0) -> SampleBatch:
+def sample(task: GaussianTask, n: int, seed: int, stream: int = 0,
+           out: SampleBuffers = None) -> SampleBatch:
     """Draw n paired samples: x standard normal, y = rho x + sqrt(1-rho^2) noise.
 
     Deterministic in (seed, stream); distinct streams never share generator
     state, so concurrent sampling is safe. x is keyed (seed, 2 stream) and
     the noise (seed, 2 stream + 1), so the stream lies in [0, 2**63).
+
+    With `out`, `SampleBuffers` for n rows at the task's dimension, the
+    batch is written into them and its arrays are theirs, so it is valid
+    until the next draw into the same buffers; without, it is drawn into
+    fresh ones. Either way the bits are the same.
     """
     if n < 2:
         raise ValueError("need n >= 2 (contrastive estimators require negatives)")
     if not (0 <= seed < SEED_LIMIT and 0 <= stream < SEED_LIMIT // 2):
         raise ValueError(f"seed must lie in [0, 2**64) and stream in [0, 2**63), "
                          f"got seed {seed} and stream {stream}")
-    xs = _standard_normals(seed, 2 * stream, (n, task.dim))
-    noise = _standard_normals(seed, 2 * stream + 1, (n, task.dim))
-    ys = task.rho * xs + math.sqrt(1.0 - task.rho * task.rho) * noise
+    out = SampleBuffers(n, task.dim) if out is None else out
+    xs, ys = out.xs, out.ys
+    if xs.shape != (n, task.dim):
+        raise ValueError(f"buffers of shape {xs.shape} for a batch of shape {(n, task.dim)}")
+    out._normals(seed, 2 * stream, xs)
+    out._normals(seed, 2 * stream + 1, ys)
+    rho_x = out.uniforms.reshape(-1)[:xs.size].reshape(xs.shape)
+    np.multiply(xs, task.rho, out=rho_x)
+    np.multiply(ys, math.sqrt(1.0 - task.rho * task.rho), out=ys)
+    np.add(rho_x, ys, out=ys)
     return SampleBatch(xs=xs, ys=ys, seed=seed, stream=stream, task=task)
-
-
-def _sample_peak_words(n: int, dim: int) -> int:
-    """float64 words `sample` holds at its peak, about 5x an (n, dim) batch:
-    x's normals while the noise's are drawn, which takes two uniforms per
-    pair, the radius, the angle, the cos and sin halves and their join."""
-    count = n * dim
-    return count + 8 * ((count + 1) // 2)
 
 
 def cond_log_density(task: GaussianTask, y, x):

@@ -57,3 +57,30 @@ def test_two_pairs_print_the_report_line(ab, capsys):
                         r"median s base \d+\.\d{4}, head \d+\.\d{4}", lines[2])
     assert lines[3].startswith("machine: nproc ")
     assert "mitk_a" not in sys.modules and "mitk_b" not in sys.modules
+
+
+def test_train_pairs_print_digests_and_the_report_line(ab, capsys):
+    assert ab.main(["train", str(REPO), str(REPO), "--pairs", "2", "--steps", "2",
+                    "--estimator", "tuba"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    label = "train --estimator tuba --form separable --steps 2 --seed 0"
+    digests = [line.split(f": {label} ", 1)[1] for line in lines[:2]]
+    assert digests[0] == digests[1]
+    assert re.fullmatch(r"csv=[0-9a-f]{64} params=[0-9a-f]{64}", digests[0])
+    assert re.fullmatch(re.escape(label) + r": head/base median \d+\.\d{3} "
+                        r"\(quartiles \d+\.\d{3}-\d+\.\d{3}\), head faster in [0-2]/2 pairs; "
+                        r"median s base \d+\.\d{4}, head \d+\.\d{4}", lines[2])
+    assert lines[3].startswith("machine: nproc ")
+
+
+def test_a_moved_bit_is_reported_not_an_error(ab, capsys, tmp_path):
+    # a tree whose sampling draws one more noise stream moves every trajectory bit
+    changed = ab.export(str(REPO), tmp_path / "changed")
+    gaussian = changed / "src" / "mitk" / "gaussian.py"
+    source = gaussian.read_text()
+    assert source.count("2 * stream + 1, ys)") == 1
+    gaussian.write_text(source.replace("2 * stream + 1, ys)", "2 * stream + 2, ys)"))
+    assert ab.main(["train", str(REPO), str(changed), "--pairs", "2", "--steps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split(": ", 1)[1] != lines[1].split(": ", 1)[1]
+    assert lines[2] == "digests differ: the change moved bits"

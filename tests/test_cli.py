@@ -514,12 +514,11 @@ class TestBadInputWritesNothing:
          ["--batch-size", "20000"], "batch_size 20000 needs a 204800000000-byte critic array"),
         (["bench", "--estimators", "nwj", "--set", "critic.form=joint"],
          ["--batch-size", "20000"], "batch_size 20000 needs a 204800000000-byte critic array"),
-        # sampling holds 5 batches' worth: 8 bytes a word, 5 words a cell
+        # the first array an objective reserves is the batch's xs, n x dim words
         (["train", "--estimator", "ba_upper"], ["--batch-size", "4", "--dim", str(10**20)],
-         f"batch_size 4 needs a {160 * 10**20}-byte sampling working set of shape "
-         f"({20 * 10**20},)"),
+         f"batch_size 4 needs a {32 * 10**20}-byte sample array of shape (4, {10**20})"),
         (["train", "--estimator", "ba_lower"], ["--batch-size", str(10**20)],
-         f"batch_size {10**20} needs a {80 * 10**20}-byte sampling working set")],
+         f"batch_size {10**20} needs a {16 * 10**20}-byte sample array")],
         ids=["l1out-train", "l1out-bench", "joint-train", "joint-bench", "dim", "batch"])
     def test_every_batch_sized_array_is_reserved(self, tmp_path, capsys, monkeypatch,
                                                  command, sizes, message):
@@ -562,12 +561,13 @@ class TestBadInputWritesNothing:
     @pytest.mark.parametrize("command", [["train", "--estimator", "ba_upper"],
                                          ["bench", "--estimators", "ba_upper", "--seeds", "1"]])
     def test_sampling_working_set_is_reserved(self, tmp_path, command):
-        # a 20000 x 1000 batch is 153 MiB, and sampling it holds five of
-        # those, more than the cap leaves; one or two would fit
+        # a 20000 x 1000 batch is 153 MiB: the objective owns three of those
+        # (xs, ys and the uniforms) and checks three more for its value, more
+        # than the cap leaves; the three it owns would fit
         done = run_capped(command + ["--rho", "0.5", "--dim", "1000", "--steps", "0",
                                      "--batch-size", "20000", "--out", str(tmp_path)])
         self.assert_clean_input_error(done.returncode, done.stderr, tmp_path,
-                                      "batch_size 20000 needs a 800000000-byte sampling "
+                                      "batch_size 20000 needs a 480000000-byte value "
                                       "working set")
 
     def test_run_count_past_the_bound(self, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Gaussian benchmark tasks: closed forms, sampling determinism, densities."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 
 from mitk.gaussian import (
     GaussianTask,
-    _sample_peak_words,
+    SampleBuffers,
     cond_log_density,
     marginal_entropy,
     marginal_log_density,
@@ -23,6 +24,42 @@ from mitk.gaussian import (
 MI_D1_RHO05 = 0.14384103622589045
 COND_LL_ORIGIN = -0.7750974969787823
 MARG_LL_ORIGIN = -0.9189385332046727
+
+# (seed, stream, n, dim, rho, sha256 of xs bytes then ys bytes), recorded when
+# every draw built its own Philox and joined the Box-Muller halves with a
+# concatenate; odd cell counts, the largest seed and the largest stream included
+GOLDEN_SAMPLES = [
+    (0, 0, 2, 1, 0.5, "28a14081519d3800c05ec7c16f80f64df53e03aaad52aeb896befe370ad4dff0"),
+    (7, 3, 17, 5, -0.3, "d3752c22c2985722ac32034caf2411254c258bc7c391df03fe7abeeedf12657d"),
+    (123, 0, 128, 20, 0.425757,
+     "6b67544a06c4f66c2924eeaaa43cbd339f36b5aee00a7e1145c96432dd3cf2e3"),
+    (2**64 - 1, 2**63 - 1, 3, 3, 0.9,
+     "7fb68ddfeddc4817a8ba3d9d51887c1c5f5cfa66f3ffaa1832fc281cb0963728"),
+    (1, 2**63 - 1, 9, 1, 0.0, "7654a98a778ca80873b959ee9d1627a2554511c36b00b3ea840187e5608412f2"),
+    (2**64 - 1, 0, 64, 7, -0.99,
+     "0699ce7e9d813238d7a035eac76c80eac52ec22b9b5d7ab86932cd5c3e85a9c1"),
+    (5, 11, 999, 3, 0.7, "39fb980a5ae7475a56cabfe01cef114611b5c1074221bd5f27740231af82e8ce"),
+    (42, 10**6, 2, 5, 0.1, "9275691ee6e47480f49ffb1f12090e96706c7dc5ea6a6ce0ed859bce6c8a136b"),
+]
+
+
+def fresh_generator_sample(task, n, seed, stream):
+    """(xs, ys) as a fresh Philox per draw and a concatenate of the Box-Muller
+    halves give them: the oracle for the in-place draw."""
+    def normals(key):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
+        count = n * task.dim
+        u = gen.random((2, (count + 1) // 2))
+        radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+        angle = 2.0 * math.pi * u[1]
+        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        return z[:count].reshape(n, task.dim)
+    xs = normals(2 * stream)
+    return xs, task.rho * xs + math.sqrt(1.0 - task.rho * task.rho) * normals(2 * stream + 1)
+
+
+def batch_digest(batch) -> str:
+    return hashlib.sha256(batch.xs.tobytes() + batch.ys.tobytes()).hexdigest()
 
 
 class TestClosedForms:
@@ -113,20 +150,57 @@ class TestSampling:
         assert batch.n == 17
         assert batch.task == task
 
+    @pytest.mark.parametrize("seed, stream, n, dim, rho, digest", GOLDEN_SAMPLES)
+    def test_golden_digests(self, seed, stream, n, dim, rho, digest):
+        task = GaussianTask(dim, rho)
+        assert batch_digest(sample(task, n, seed, stream)) == digest
+        assert batch_digest(sample(task, n, seed, stream, out=SampleBuffers(n, dim))) == digest
+
+    def test_owned_buffers_match_a_fresh_generator(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 5, 17, 64, 127, 128, 129):
+            for dim in (1, 2, 3, 7, 20):
+                task = GaussianTask(dim, float(rng.uniform(-0.99, 0.99)))
+                owner = SampleBuffers(n, dim)
+                for _ in range(2):
+                    seed, stream = int(rng.integers(2**63)) * 2 + 1, int(rng.integers(2**62))
+                    xs, ys = fresh_generator_sample(task, n, seed, stream)
+                    batch = sample(task, n, seed, stream, out=owner)
+                    assert batch.xs is owner.xs and batch.ys is owner.ys
+                    assert np.array_equal(batch.xs, xs) and np.array_equal(batch.ys, ys)
+
+    def test_a_draw_depends_only_on_its_key(self):
+        # B's 11 uniform pairs take 22 of Philox's 64-bit words, which come in
+        # blocks of 4, so its buffer is left part-used; a uint32 draw then
+        # sets has_uint32. A drawn again into the same owner keeps its bytes
+        task, owner = GaussianTask(3, 0.4), SampleBuffers(7, 3)
+        first = batch_digest(sample(task, 7, seed=9, stream=4, out=owner))
+        sample(task, 7, seed=10, stream=1, out=owner)
+        assert owner.philox.state["buffer_pos"] == 2
+        owner.gen.integers(2**32, dtype=np.uint32)
+        assert owner.philox.state["has_uint32"] == 1
+        assert batch_digest(sample(task, 7, seed=9, stream=4, out=owner)) == first
+        assert first == batch_digest(sample(task, 7, seed=9, stream=4))
+
+    def test_buffers_must_fit_the_batch(self):
+        owner = SampleBuffers(8, 3)
+        for task, n in ((GaussianTask(3, 0.5), 9), (GaussianTask(2, 0.5), 8)):
+            with pytest.raises(ValueError, match=r"^buffers of shape \(8, 3\) for a batch"):
+                sample(task, n, seed=0, out=owner)
 
     @pytest.mark.parametrize("n, dim", [(1000, 50), (999, 51), (128, 20), (20000, 9)])
-    def test_peak_words_are_what_sampling_holds(self, n, dim):
-        # the count an objective reserves is sampling's traced peak, up to a
-        # few hundred bytes of array headers, for even and odd cell counts
-        task = GaussianTask(dim, 0.5)
+    def test_a_draw_into_owned_buffers_allocates_no_array(self, n, dim):
+        # what a draw allocates is the batch record and the generator's key,
+        # never an array, for even and odd cell counts
+        task, owner = GaussianTask(dim, 0.5), SampleBuffers(n, dim)
+        sample(task, n, seed=0, stream=2, out=owner)
         tracemalloc.start()
         try:
-            sample(task, n, seed=0, stream=3)
+            sample(task, n, seed=0, stream=3, out=owner)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        words = _sample_peak_words(n, dim)
-        assert 8 * words <= peak <= 8 * words + 4096, (peak, 8 * words)
+        assert peak < 4096, peak
 
 
 class TestDensities:
