@@ -250,11 +250,17 @@ class SummaryRow:
 def _summarize(tag: str, task: GaussianTask, trajectories: list) -> SummaryRow:
     target = true_mi(task)
     finals = np.array([t.final_smoothed for t in trajectories])
-    mean = float(finals.mean())
+    # past 2**500 a deviation's square can overflow: the finals are scaled
+    # by a power of two, which is exact, and the mean and std scaled back
+    exponent = math.frexp(float(np.abs(finals).max()))[1]
+    shift = exponent if exponent > 500 else 0
+    scaled = np.ldexp(finals, -shift)
+    with np.errstate(over="ignore"):  # a std past the largest float is inf
+        mean = float(np.ldexp(scaled.mean(), shift))
+        std = float(np.ldexp(scaled.std(ddof=1), shift)) if len(finals) > 1 else math.nan
     if len(finals) < 2:
-        std, violation = float("nan"), None
+        violation = None
     else:
-        std = float(finals.std(ddof=1))
         se = std / math.sqrt(len(finals))
         if EstimatorKind(tag).is_upper:
             violation = mean < target - 3.0 * se

@@ -139,7 +139,7 @@ def _tangent(scores, work, log_a=1.0):
     with np.errstate(over="ignore"):  # overflow -> inf, caught by divergence checks
         ratio = np.exp(col_lme - log_a)
         penalty = ratio + log_a - 1.0
-    return float(scores.diagonal().mean() - penalty.mean()), ratio
+        return float(scores.diagonal().mean() - penalty.mean()), ratio
 
 
 def _tangent_upstream(scores, work, ratio, log_a=1.0):

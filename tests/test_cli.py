@@ -7,6 +7,7 @@ import math
 import os
 import re
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -405,6 +406,22 @@ class TestBench:
         assert err[2:] == ["summary: nwj covers 0 of 2 seeds"]
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in summary[1:]] == ["ba_upper"]
+
+    def test_summary_of_finals_past_the_square_overflow(self):
+        # the falsifying finals of a ba_upper run at adam.lr=1: deviations near
+        # 1e210 overflow a plain square, but mean and std are finite
+        finals = [-68.3126257, -5.42440033e87, -1.25456420e210]
+        runs = [mitk.estimators.EstimateTrajectory("ba_upper", [(0, v, v)], 0.0, seed, {})
+                for seed, v in enumerate(finals)]
+        row = mitk.cli._summarize("ba_upper", mitk.cli.GaussianTask(2, 0.0), runs)
+        assert row.mean_estimate == pytest.approx(statistics.fmean(finals), rel=1e-15)
+        assert row.std == pytest.approx(statistics.stdev(finals), rel=1e-15)
+        assert row.violation is False
+        # a std past the largest float is inf, the mean still exact
+        runs = [mitk.estimators.EstimateTrajectory("ba_upper", [(0, v, v)], 0.0, seed, {})
+                for seed, v in enumerate([1.7e308, -1.7e308])]
+        row = mitk.cli._summarize("ba_upper", mitk.cli.GaussianTask(2, 0.0), runs)
+        assert (row.mean_estimate, row.std) == (0.0, math.inf)
 
     def test_worker_count_does_not_change_artifacts(self, tmp_path, capsys):
         args = ["bench", "--estimators", "dv,tuba,nwj,infonce,ba_lower,ba_upper,l1out",

@@ -96,6 +96,11 @@ class TestScoreReductions:
         for delta in (-0.7, 0.4, 1.5):
             assert tuba_from_scores(s, np.full(8, 1.3 + delta)) < tight - 1e-4
 
+    def test_tangent_bounds_past_the_exp_overflow_are_minus_inf(self):
+        # each column's penalty is finite, the sum in their mean is not
+        assert nwj_from_scores(np.full((2, 2), 710.5)) == -math.inf
+        assert tuba_from_scores(np.full((2, 2), 709.5), np.zeros(2)) == -math.inf
+
     def test_infonce_capped_at_log_batch(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
