@@ -1,5 +1,5 @@
-"""In-process A/B timing of `mitk verify` or of one training run between
-two source trees.
+"""In-process A/B timing of `mitk verify`, of one training run or of one
+estimator's value between two source trees.
 
 BASE and HEAD are git revisions of this repository, exported with `git
 archive` to a temporary directory; a directory that holds `src/mitk` (such
@@ -16,18 +16,26 @@ The operation, named first and `verify` unless given, is one of:
   benchmark configuration (d=20, 2 nats, batch 128, 64-64 towers, embed
   32) for `--steps` steps from `--seed`; its digest is the sha256 of the
   trajectory CSV and of the trained flat-parameter vector.
+- `value`: `objective.value(batch)` of one `--estimator` and `--form`,
+  built at the benchmark configuration (d=20, 2 nats, batch 128) from
+  `--seed`, on held-out stream 1 drawn into `objective.samples`; a timed
+  sample is `VALUE_CALLS` calls after one untimed one, and its digest is
+  the value as a float hex.
 
 It first prints each side's digest. Differing digests mean the change
 moved bits; that is reported, not an error. Then it runs the operation on
 each side in N pairs, alternating which side runs first, and prints one
 line: the median head/base ratio of wall times, its quartiles, the number
 of pairs in which head was faster, and each side's median seconds; then
-the machine. BLAS is pinned to one thread before numpy loads, unless the
-environment already sets it. Writes nothing in the repository.
+the machine. With `--json PATH` it also writes both sides' digests, their
+raw seconds in pair order and the ratios to PATH. BLAS is pinned to one
+thread before numpy loads, unless the environment already sets it. It
+writes nothing but the `--json` file.
 
     python scripts/ab.py HEAD~1                  # verify, HEAD~1 against this checkout
     python scripts/ab.py BASE HEAD --pairs 20 --trials 1000 --seed 0
     python scripts/ab.py train BASE --estimator nwj --form separable --steps 500
+    python scripts/ab.py value BASE --estimator l1out --pairs 20 --json pairs.json
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import platform
 import shutil
@@ -56,6 +65,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 REPO = Path(__file__).resolve().parents[1]
+VALUE_CALLS = 50  # calls in one timed sample of the `value` operation
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -124,9 +134,27 @@ def train(mitk, args) -> tuple:
     return seconds, f"csv={csv} params={params}"
 
 
+def value(mitk, args) -> tuple:
+    """(wall seconds of VALUE_CALLS values after one untimed call, digest) of
+    one objective's value on held-out stream 1 at the benchmark configuration."""
+    estimators, gaussian = mitk.estimators, mitk.gaussian
+    task = gaussian.task_for_target_mi(20, 2.0)
+    settings = estimators.TrainSettings(batch_size=128, seed=args.seed, critic_form=args.form)
+    objective = estimators.make_objective(args.estimator, task, settings)
+    batch = gaussian.sample(task, 128, args.seed, stream=1, out=objective.samples)
+    estimate = objective.value(batch)
+    gc.collect()
+    start = time.perf_counter()
+    for _ in range(VALUE_CALLS):
+        objective.value(batch)
+    seconds = time.perf_counter() - start
+    return seconds, f"value={estimate.hex()}"
+
+
 # operation: (function, the options its run depends on)
 OPERATIONS = {"verify": (verify, ("trials", "seed")),
-              "train": (train, ("estimator", "form", "steps", "seed"))}
+              "train": (train, ("estimator", "form", "steps", "seed")),
+              "value": (value, ("estimator", "form", "seed"))}
 
 
 def machine() -> str:
@@ -151,11 +179,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trials", type=int, default=100, help="verify: probe trials")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--estimator", default="nwj", help="train: the estimator kind",
+    parser.add_argument("--estimator", default="nwj", help="train, value: the estimator kind",
                         choices=("ba_upper", "ba_lower", "l1out", "dv", "tuba", "nwj", "infonce"))
     parser.add_argument("--form", default="separable", choices=("separable", "joint"),
-                        help="train: the critic form")
+                        help="train, value: the critic form")
     parser.add_argument("--steps", type=int, default=200, help="train: training steps")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the digests and raw pairs to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -182,7 +212,14 @@ def main(argv=None) -> int:
           f"(quartiles {low:.3f}-{high:.3f}), head faster in {wins}/{args.pairs} pairs; "
           f"median s base {statistics.median(times[0]):.4f}, "
           f"head {statistics.median(times[1]):.4f}")
-    print(machine())
+    host = machine()
+    print(host)
+    if args.json is not None:
+        args.json.write_text(json.dumps({
+            "label": label, "base": args.base, "head": args.head,
+            "digests": {"base": digests[0], "head": digests[1]},
+            "seconds": {"base": times[0], "head": times[1]}, "ratios": ratios,
+            "machine": host}, indent=1) + "\n")
     return 0
 
 

@@ -12,13 +12,13 @@ would already be meaningless.
 
 Training runs through one `Objective` per estimator kind (`make_objective`),
 which owns the buffers of one run: the sampled batch, the flat parameter
-and gradient vectors, Adam's state, every network's forward arrays, and
-for the critic bounds one n x n workspace, all allocated when it is
-built. Nothing is kept at module level, so concurrent runs share no
-state. Each critic bound is written once, as a value kernel and an
-upstream (score-gradient) kernel (`_dv`, `_tangent` for TUBA and NWJ,
-`_infonce`); an objective runs them in its workspace, the
-`*_from_scores` and `est_*` functions in a fresh one. `_OBJECTIVES`
+and gradient vectors, Adam's state, every network's forward arrays, a
+critic bound's n x n workspace and l1out's n x n table pair, all
+allocated when it is built. Nothing is kept at module level, so
+concurrent runs share no state. Each critic bound is written once, as a
+value kernel and an upstream (score-gradient) kernel (`_dv`, `_tangent`
+for TUBA and NWJ, `_infonce`); an objective runs them in its workspace,
+the `*_from_scores` and `est_*` functions in a fresh one. `_OBJECTIVES`
 alone binds a kind to its objective and, for a critic bound, to its
 kernels and whether it learns a baseline (TUBA).
 """
@@ -227,14 +227,16 @@ def est_ba_lower(batch: SampleBatch, decoder: "DecoderParams", entropy_hx: float
     return _decoder_bound(batch, mean, decoder.log_var, entropy_hx)[0]
 
 
-def est_l1out(batch: SampleBatch, cond_ld) -> float:
+def est_l1out(batch: SampleBatch, cond_ld, out=None) -> float:
     """Leave-one-out upper bound: each sample's own conditional is dropped
-    from the Monte-Carlo marginal in the denominator."""
+    from the Monte-Carlo marginal in the denominator. log p(y_i | x_j) is
+    formed a block of y rows (`critic._blocks`) at a time, into `out`: the
+    (2, n, n) table and log-sum-exp workspace, fresh if not given."""
     n = batch.n
-    if n < 2:
-        raise ValueError("leave-one-out needs at least two samples")
-    table = cond_ld(batch.ys[:, None, :], batch.xs[None, :, :])
-    denom = _offdiag_lse(table, np.empty_like(table), axis=1) - math.log(n - 1)
+    table, work = np.empty((2, n, n)) if out is None else out
+    for i0, i1 in nets._blocks(n):
+        table[i0:i1] = cond_ld(batch.ys[i0:i1, None, :], batch.xs[None, :, :])
+    denom = _offdiag_lse(table, work, axis=1) - math.log(n - 1)
     return float((table.diagonal() - denom).mean())
 
 
@@ -322,12 +324,12 @@ class Objective:
     `gaussian.SampleBuffers`, which every batch of the run is drawn into, so
     a batch is valid until the next draw. A value's working set (three
     (n, dim) batches, about what ba_upper's and ba_lower's values hold
-    beyond the batch) and l1out's (n, n, dim) density table are only
-    checked. A critic bound keeps its n x n workspace, where the value's
-    reductions and then the gradient with respect to the scores are
-    formed. Every network keeps its forward
-    arrays (`critic._empty_cache`: the score table, or the joint critic's
-    n^2-row layers, and each network's layers), written over by each step.
+    beyond the batch) is only checked. A critic bound keeps its n x n
+    workspace, where the value's reductions and then the gradient with
+    respect to the scores are formed, and l1out its table pair (`_L1Out`).
+    Every network keeps its forward arrays (`critic._empty_cache`: the
+    score table, or the joint critic's n^2-row layers, and each network's
+    layers), written over by each step.
     """
 
     params = grad = adam = None
@@ -362,13 +364,16 @@ class _BaUpper(Objective):
 
 
 class _L1Out(Objective):
+    """Owns est_l1out's table pair; checks three blocks of density cells."""
+
     def __init__(self, task: GaussianTask, settings: "TrainSettings"):
         super().__init__(task, settings)
         n = settings.batch_size
-        _reserve(n, (n, n, task.dim), "(n, n, dim) density table")
+        self.tables = _reserve(n, (2, n, n), "n x n density table and workspace")
+        _reserve(n, (3, nets._blocks(n)[0][1] * n, task.dim), "l1out block working set")
 
     def value(self, batch):
-        return est_l1out(batch, partial(cond_log_density, self.task))
+        return est_l1out(batch, partial(cond_log_density, self.task), out=self.tables)
 
 
 class _BaLower(Objective):

@@ -30,7 +30,6 @@ __all__ = [
     "task_for_target_mi",
     "sample",
     "cond_log_density",
-    "pairwise_cond_log_density",
     "marginal_log_density",
     "marginal_entropy",
 ]
@@ -174,11 +173,6 @@ def cond_log_density(task: GaussianTask, y, x):
     ll = -0.5 * ((resid * resid) / var + math.log(var) + LN_2PI)
     out = ll.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def pairwise_cond_log_density(task: GaussianTask, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(i, j) table of log density of y_i under the conditional at x_j."""
-    return cond_log_density(task, ys[:, None, :], xs[None, :, :])
 
 
 def marginal_log_density(task: GaussianTask, y):

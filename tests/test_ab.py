@@ -3,11 +3,15 @@
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from mitk.estimators import TrainSettings, make_objective
+from mitk.gaussian import sample, task_for_target_mi
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -71,6 +75,30 @@ def test_train_pairs_print_digests_and_the_report_line(ab, capsys):
                         r"\(quartiles \d+\.\d{3}-\d+\.\d{3}\), head faster in [0-2]/2 pairs; "
                         r"median s base \d+\.\d{4}, head \d+\.\d{4}", lines[2])
     assert lines[3].startswith("machine: nproc ")
+
+
+def test_value_pairs_print_digests_the_report_line_and_the_raw_pairs(ab, capsys, tmp_path):
+    path = tmp_path / "pairs.json"
+    assert ab.main(["value", str(REPO), str(REPO), "--pairs", "2", "--estimator", "l1out",
+                    "--json", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    label = "value --estimator l1out --form separable --seed 0"
+    digests = [line.split(f": {label} ", 1)[1] for line in lines[:2]]
+    # the benchmark configuration's held-out batch, stream 1
+    task = task_for_target_mi(20, 2.0)
+    objective = make_objective("l1out", task, TrainSettings(batch_size=128))
+    want = objective.value(sample(task, 128, 0, stream=1, out=objective.samples))
+    assert digests == [f"value={want.hex()}"] * 2
+    assert re.fullmatch(re.escape(label) + r": head/base median \d+\.\d{3} "
+                        r"\(quartiles \d+\.\d{3}-\d+\.\d{3}\), head faster in [0-2]/2 pairs; "
+                        r"median s base \d+\.\d{4}, head \d+\.\d{4}", lines[2])
+    record = json.loads(path.read_text())
+    assert record["label"] == label and record["machine"] == lines[3]
+    assert record["digests"] == {"base": digests[0], "head": digests[1]}
+    seconds = record["seconds"]
+    assert len(seconds["base"]) == len(seconds["head"]) == 2
+    assert record["ratios"] == [head / base for base, head in zip(seconds["base"],
+                                                                  seconds["head"])]
 
 
 def test_a_moved_bit_is_reported_not_an_error(ab, capsys, tmp_path):

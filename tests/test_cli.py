@@ -524,9 +524,11 @@ class TestBadInputWritesNothing:
 
     @pytest.mark.parametrize("command, sizes, message", [
         (["train", "--estimator", "l1out"], ["--batch-size", "2000000"],
-         "batch_size 2000000 needs a 64000000000000-byte (n, n, dim) density table"),
+         "batch_size 2000000 needs a 64000000000000-byte n x n density table and workspace "
+         "of shape (2, 2000000, 2000000)"),
         (["bench", "--estimators", "ba_upper,l1out"], ["--batch-size", "2000000"],
-         "batch_size 2000000 needs a 64000000000000-byte (n, n, dim) density table"),
+         "batch_size 2000000 needs a 64000000000000-byte n x n density table and workspace "
+         "of shape (2, 2000000, 2000000)"),
         (["train", "--estimator", "nwj", "--set", "critic.form=joint"],
          ["--batch-size", "20000"], "batch_size 20000 needs a 204800000000-byte critic array"),
         (["bench", "--estimators", "nwj", "--set", "critic.form=joint"],

@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mitk.estimators import (
     EstimatorKind,
     TrainSettings,
     TrainingDiverged,
+    _offdiag_lse,
     dv_from_scores,
     est_ba_lower,
     est_ba_upper,
@@ -45,7 +48,6 @@ from mitk.gaussian import (
     cond_log_density,
     marginal_entropy,
     marginal_log_density,
-    pairwise_cond_log_density,
     sample,
     task_for_target_mi,
     true_mi,
@@ -67,9 +69,8 @@ def constant_baseline(log_a: float, dim: int) -> Mlp:
 
 def log_ratio_scores(task: GaussianTask, batch) -> np.ndarray:
     """The optimal unnormalized critic: pointwise log density ratio."""
-    return pairwise_cond_log_density(task, batch.ys, batch.xs) - marginal_log_density(
-        task, batch.ys
-    )[:, None]
+    return cond_log_density(task, batch.ys[:, None, :], batch.xs[None, :, :]) - (
+        marginal_log_density(task, batch.ys)[:, None])
 
 
 class TestScoreReductions:
@@ -306,7 +307,7 @@ class TestTractableEstimators:
     def test_l1out_two_samples_single_contrast(self):
         task = GaussianTask(1, 0.5)
         batch = sample(task, 2, seed=10)
-        table = pairwise_cond_log_density(task, batch.ys, batch.xs)
+        table = cond_log_density(task, batch.ys[:, None, :], batch.xs[None, :, :])
         expected = 0.5 * ((table[0, 0] - table[0, 1]) + (table[1, 1] - table[1, 0]))
         assert est_l1out(batch, lambda y, x: cond_log_density(task, y, x)) == pytest.approx(
             expected, abs=1e-12
@@ -620,11 +621,38 @@ class TestFusedObjectives:
                     assert tuba_from_scores(table, log_a) == expected
 
     def test_l1out_on_tables_equals_reference(self):
+        # est_l1out asks for its table one block of y rows at a time, in
+        # order; at n = 300 a block is three rows
         rng = np.random.default_rng(33)
-        for n in self.SIZES:
+        for n in (*self.SIZES, 300):
             batch = sample(GaussianTask(2, 0.5), n, seed=0)
             for table in _tables(n, rng):
-                assert est_l1out(batch, lambda y, x: table.copy()) == ref_l1out(table)
+                served = 0
+
+                def block(y, x):
+                    nonlocal served
+                    assert y.shape == (len(y), 1, 2) and x.shape == (1, n, 2)
+                    served += len(y)
+                    return table[served - len(y):served].copy()
+
+                assert est_l1out(batch, block) == ref_l1out(table)
+                assert served == n
+
+    def test_l1out_keeps_the_bits_of_the_broadcast_table(self):
+        # the oracle is the (n, n, dim) form est_l1out had before it ran in
+        # blocks; n runs from 2 to past _TILE_ROWS, where a block is one row
+        rng = np.random.default_rng(34)
+        for n in (2, 3, 9, 64, 127, 128, 129, 300, 513, 1023, 1024, 1025, 1500):
+            for _ in range(4 if n < 1000 else 1):
+                dim = int(rng.integers(1, max(2, min(30, 4_000_000 // (n * n)))))
+                task = GaussianTask(dim, float(rng.uniform(-0.99, 0.99)))
+                batch = sample(task, n, seed=int(rng.integers(2**32)))
+                table = cond_log_density(task, batch.ys[:, None, :], batch.xs[None, :, :])
+                denom = _offdiag_lse(table, np.empty_like(table), axis=1) - math.log(n - 1)
+                want = float((table.diagonal() - denom).mean())
+                assert est_l1out(batch, partial(cond_log_density, task)) == want, (n, dim)
+                objective = make_objective("l1out", task, TrainSettings(batch_size=n))
+                assert objective.value(batch) == want, (n, dim)
 
     @pytest.mark.parametrize("form", ["joint", "separable"])
     def test_value_on_batches_equals_estimator(self, form):
@@ -645,6 +673,39 @@ class TestFusedObjectives:
         assert objective.params is None and objective.grad is None
         with pytest.raises(NotImplementedError):
             objective.value_and_grad(sample(GaussianTask(2, 0.5), self.N, seed=0))
+
+
+class TestValueMemory:
+    KINDS = [*((kind.value, "separable") for kind in EstimatorKind),
+             *((kind, "joint") for kind in ("dv", "tuba", "nwj", "infonce"))]
+
+    @pytest.mark.parametrize("n, dim", [(128, 20), (100, 200), (600, 2)])
+    @pytest.mark.parametrize("kind, form", KINDS)
+    def test_a_value_holds_what_its_objective_checks_or_owns(self, kind, form, n, dim):
+        # a value holds what its objective checks (three (n, dim) batches,
+        # and l1out's three blocks of density cells), the joint critic's
+        # three (n, first width) arrays of its factored layer 0 (x W_x,
+        # y W_y and the bias sum), and at most 128 KiB more, which covers
+        # numpy's 64 KiB ufunc buffer. At n = 600 one hidden layer of 16
+        # keeps the joint critic's n^2-row cache at 49 MB.
+        hidden = (16,) if n > 128 else nets.CriticArch.hidden
+        settings = TrainSettings(batch_size=n, critic_form=form, hidden=hidden)
+        task = task_for_target_mi(dim, 2.0)
+        objective = make_objective(kind, task, settings)
+        batch = sample(task, n, seed=0, stream=1, out=objective.samples)
+        objective.value(batch)
+        bound = 3 * n * dim * 8 + 128 * 1024
+        if kind == "l1out":
+            bound += 3 * nets._blocks(n)[0][1] * n * dim * 8
+        if form == "joint":
+            bound += 3 * n * hidden[0] * 8
+        tracemalloc.start()
+        try:
+            objective.value(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 def _kink_distance(objective, batch):

@@ -13,7 +13,6 @@ from mitk.gaussian import (
     cond_log_density,
     marginal_entropy,
     marginal_log_density,
-    pairwise_cond_log_density,
     rho_for_target_mi,
     sample,
     task_for_target_mi,
@@ -252,7 +251,7 @@ class TestDensities:
     def test_pairwise_matches_loop(self):
         task = GaussianTask(3, 0.4)
         batch = sample(task, 6, seed=5)
-        table = pairwise_cond_log_density(task, batch.ys, batch.xs)
+        table = cond_log_density(task, batch.ys[:, None, :], batch.xs[None, :, :])
         for i in range(6):
             for j in range(6):
                 assert table[i, j] == pytest.approx(
