@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import gc
 import hashlib
 import importlib
@@ -63,6 +64,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
+from numpy.lib._utils_impl import _opt_info  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
 VALUE_CALLS = 50  # calls in one timed sample of the `value` operation
@@ -157,12 +159,33 @@ OPERATIONS = {"verify": (verify, ("trials", "seed")),
               "value": (value, ("estimator", "form", "seed"))}
 
 
+def blas_core() -> str:
+    """The kernel set OpenBLAS picked for this CPU (`SkylakeX`, `Haswell`, ...),
+    asked of the OpenBLAS that numpy's wheel bundles; `unknown` where there is
+    none or it does not export the query."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            if hasattr(lib, name):
+                query = getattr(lib, name)
+                query.argtypes, query.restype = [], ctypes.c_char_p
+                return query().decode()
+    return "unknown"
+
+
 def machine() -> str:
+    """One line naming what can move a result's bits or its time: cores,
+    platform, numpy and its BLAS, OpenBLAS's kernel set, numpy's SIMD set
+    (`*` marks a target in use beyond the baseline, `?` one this CPU lacks or
+    the environment switched off) and the BLAS thread pins."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = " ".join(f"{var}={os.environ.get(var, '')}" for var in THREAD_VARS)
     return (f"machine: nproc {os.cpu_count()}, {platform.platform()}, python "
             f"{platform.python_version()}, numpy {np.__version__} ({blas['name']} "
-            f"{blas.get('version', '?')}), {threads}")
+            f"{blas.get('version', '?')}, core {blas_core()}), simd {_opt_info()}, "
+            f"{threads}")
 
 
 def main(argv=None) -> int:

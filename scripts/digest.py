@@ -12,8 +12,11 @@ runs at --trials 0/20/100/1000 with --seed 0 and 7, and with --corrupt-oracle;
 each run prints its exit code and stdout digest, and `overall verify` covers
 those lines. Last, `overall checks` covers every check of `run_probe_suite` on
 the same runs: theorem, name, worst as float hex, tolerance, passed and the
-witness (its keys, and its arrays' dtypes, shapes and bytes). Writes no
-files; BLAS is pinned to one thread unless the environment already sets it.
+witness (its keys, and its arrays' dtypes, shapes and bytes). The last line
+is `scripts/ab.py`'s `machine:` line, which names numpy's SIMD set and
+OpenBLAS's kernel set: the digests hold for one machine, numpy build and CPU
+dispatch. Writes no files; BLAS is pinned to one thread unless the
+environment already sets it.
 
     PYTHONPATH=src python scripts/digest.py
 """
@@ -30,6 +33,7 @@ import numpy as np
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from ab import machine  # noqa: E402  (this script's directory)
 from mitk.cli import main as mitk_main  # noqa: E402  (after the BLAS thread pin)
 from mitk.estimators import (  # noqa: E402
     EstimatorKind,
@@ -108,6 +112,7 @@ def main() -> None:
                               f"{check.tolerance!r} {check.passed}".encode())
                 _feed(checks, check.witness)
     print(f"overall checks {checks.hexdigest()}")
+    print(machine())
 
 
 if __name__ == "__main__":

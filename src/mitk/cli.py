@@ -436,6 +436,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # Ctrl-C: one line and the shell's 128 + SIGINT, never a traceback
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -70,7 +70,8 @@ ALPHA_GRID = tuple(i / 10.0 for i in range(11))
 DV_STEPS = 2000
 DV_LR = 0.5
 # trials per stack in the stacked probe paths (T09's binary chains, T12's
-# duality trials), so their memory stays flat however many trials run
+# ascents and duality trials) and per keying pass of the trial generators,
+# so their memory stays flat however many trials run
 _STACK = 1000
 
 
@@ -168,8 +169,80 @@ def _frozen_rows(arrays, row: int) -> tuple:
     return copies
 
 
-def _trial_rng(seed: int, probe: int, trial: int):
-    return np.random.default_rng([seed, probe, trial])
+def _words(n: int) -> list:
+    """The 32-bit words of a nonnegative int, least significant first, as
+    `SeedSequence` reads an entropy int; 0 is one word."""
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _pcg_keys(entropy: list):
+    """Yield the PCG64 (state, inc) that `np.random.default_rng` seeds from
+    each row of `entropy`, a list of equal-length uint32 columns.
+
+    `SeedSequence`'s entropy mixing into a pool of four words and its
+    `generate_state(4, np.uint64)` run one column operation for every row;
+    uint32 array arithmetic wraps as theirs does. `PCG64.__init__` then
+    takes the first two uint64s as the initial state and the last two as
+    the sequence.
+    """
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = 0xCA01F9DD * x - 0x4973F715 * y
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    words = [hashmix(pool[i % 4], 0x58F38DED).astype(np.uint64) for i in range(8)]
+    # little-endian word pairs: initstate high and low, initseq high and low
+    halves = ((lo | hi << 32).tolist() for lo, hi in zip(words[::2], words[1::2]))
+    mask = (1 << 128) - 1
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        # pcg_setseq_128_srandom_r: inc = 2 initseq + 1; one step from
+        # state 0, add initstate, one more step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & mask
+        state = inc + (s_hi << 64 | s_lo)
+        yield (state * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & mask, inc
+
+
+def _trial_rngs(seed: int, probe: int, trials: range):
+    """One generator per trial of the contiguous range `trials`, in trial
+    order; trial t's stream is that of `np.random.default_rng([seed, probe, t])`.
+
+    The trials are keyed `_STACK` at a time by `_pcg_keys`. One PCG64 is
+    re-keyed through its state for each trial, so a generator is valid only
+    until the next one is yielded.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    start = trials.start
+    while start < trials.stop:
+        # a chunk's trial indices all have as many words as its first
+        width = len(_words(start))
+        stop = min(start + _STACK, trials.stop, 1 << 32 * width)
+        index = np.arange(start, stop, dtype=np.uint64)
+        entropy = [np.full(len(index), word, dtype=np.uint32)
+                   for word in _words(seed) + _words(probe)]
+        entropy += [(index >> 32 * i & 0xFFFFFFFF).astype(np.uint32) for i in range(width)]
+        for state, inc in _pcg_keys(entropy):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                       "uinteger": 0, "state": {"state": state, "inc": inc}}
+            yield rng
+        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +418,7 @@ def _dv_values(p: np.ndarray, q: np.ndarray, g: np.ndarray) -> list:
             for p_row, g_row, log_z in zip(p, g, _logsumexp(g + log_q).tolist())]
 
 
-def dv_supremum(p: Pmf, q: Pmf) -> tuple:
+def dv_supremum(p, q) -> tuple:
     """Maximize the Donsker-Varadhan objective by full-batch gradient ascent.
 
     Step size 0.5 (DV_LR), at most 2000 steps (DV_STEPS), stopping when the
@@ -353,27 +426,62 @@ def dv_supremum(p: Pmf, q: Pmf) -> tuple:
     to ~1e-6 on alphabets up to 16 when neither distribution has vanishing
     mass. Requires full support of both p and q.
 
-    Returns (optimal score vector, attained value).
+    Returns (optimal score vector, attained value). `p` and `q` may also be
+    two equal-length sequences of Pmfs of one alphabet size, each p[i]
+    sharing q[i]'s alphabet: their ascents then run as one stack, each row
+    stopping at its own step, and the return value is (a (k, n) array of
+    score rows, a list of k values), row i bit for bit what
+    `dv_supremum(p[i], q[i])` returns.
     """
-    if p.alphabet != q.alphabet:
+    single = isinstance(p, Pmf)
+    ps, qs = ([p], [q]) if single else (list(p), list(q))
+    if not ps or len(ps) != len(qs):
+        raise ValueError("dv_supremum needs two nonempty sequences of equal length")
+    if any(pi.alphabet != qi.alphabet for pi, qi in zip(ps, qs)):
         raise ValueError("dv_supremum requires identical alphabets")
-    if np.any(p.probs <= 0) or np.any(q.probs <= 0):
+    if len({len(pi) for pi in ps}) != 1:
+        raise ValueError("a dv_supremum stack needs one alphabet size")
+    pv, qv = np.array([pi.probs for pi in ps]), np.array([qi.probs for qi in qs])
+    if np.any(pv <= 0) or np.any(qv <= 0):
         raise ValueError("dv_supremum requires full support of p and q")
-    pv = p.probs
-    log_q = np.log(q.probs)
-    g = np.zeros(len(p))
-    history = []
+    g = _dv_ascent(pv, np.log(qv))
+    values = [dv_value(pi, qi, row) for pi, qi, row in zip(ps, qs, g)]
+    return (g[0], values[0]) if single else (g, values)
+
+
+def _dv_ascent(pv: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """The final scores of `dv_supremum`'s ascent on each row of the stacked
+    p and ln q, each row stopping at its own step.
+
+    The steps' arrays are stacked; each row's value takes its own dot and
+    `math.log`, which keep the bits of a one-row ascent.
+    """
+    final = np.empty_like(pv)
+    rows = list(range(len(pv)))  # the stack row each live row came from
+    g = np.zeros_like(pv)
+    history = [[] for _ in rows]
     for _ in range(DV_STEPS):
         shifted = g + log_q
-        peak = shifted.max()
-        weights = np.exp(shifted - peak)
-        total = weights.sum()
-        value = float(pv @ g - (peak + math.log(total)))
-        g = g + DV_LR * (pv - weights / total)
-        history.append(value)
-        if len(history) > 10 and abs(history[-1] - history[-11]) < 1e-12:
-            break
-    return g, dv_value(p, q, g)
+        peak = shifted.max(axis=1)
+        weights = np.exp(shifted - peak[:, None])
+        total = weights.sum(axis=1)
+        values = [float(p_row @ g_row - (top + math.log(z)))
+                  for p_row, g_row, top, z in zip(pv, g, peak, total)]
+        g = g + DV_LR * (pv - weights / total[:, None])
+        live = []
+        for i, (value, past) in enumerate(zip(values, history)):
+            past.append(value)
+            if len(past) > 10 and abs(past[-1] - past[-11]) < 1e-12:
+                final[rows[i]] = g[i]
+            else:
+                live.append(i)
+        if len(live) < len(rows):
+            if not live:
+                return final
+            pv, log_q, g = pv[live], log_q[live], g[live]
+            rows, history = [rows[i] for i in live], [history[i] for i in live]
+    final[rows] = g
+    return final
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +719,7 @@ def _probe_entropy_chain(trials, seed, _corrupt):
     identity = _Worst("chain-identity-2d", 1e-12)
     subadd = _Worst("subadditivity-margin", 1e-12)
     identity3 = _Worst("conditional-chain-3d", 1e-10)
-    for t in range(trials):
-        rng = _trial_rng(seed, 1, t)
+    for rng in _trial_rngs(seed, 1, range(trials)):
         j = random_joint2(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         hj = joint_entropy(j)
         hx = entropy(j.marginal(0))
@@ -632,8 +739,7 @@ def _probe_entropy_chain(trials, seed, _corrupt):
 def _probe_mi_formulas(trials, seed, corrupt):
     routes = _Worst("formula-agreement", 1e-12)
     symmetry = _Worst("transpose-symmetry", 0.0)
-    for t in range(trials):
-        rng = _trial_rng(seed, 2, t)
+    for rng in _trial_rngs(seed, 2, range(trials)):
         j = random_joint2(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         direct = mutual_information(j)
         via_kl = mi_from_divergence(j)
@@ -648,8 +754,7 @@ def _probe_mi_formulas(trials, seed, corrupt):
 
 def _probe_mi_chain(trials, seed, _corrupt):
     worst = _Worst("term-sum", 1e-10)
-    for t in range(trials):
-        rng = _trial_rng(seed, 3, t)
+    for t, rng in enumerate(_trial_rngs(seed, 3, range(trials))):
         table = _normalized(rng, (2,) * (3 + t % 2))
         flat = JointPmf2(range(table.size // 2), range(2), table.reshape(-1, 2))
         total = math.fsum(mi_chain_rule_terms(table))
@@ -664,14 +769,13 @@ def _probe_kl_convexity(trials, seed, _corrupt):
         pair2 = (random_pmf(rng, n), random_pmf(rng, n))
         return pair1, pair2, ALPHA_GRID + tuple(rng.uniform(size=20))
 
-    return _kl_convexity(case(_trial_rng(seed, 4, t)) for t in range(trials // 10))
+    return _kl_convexity(map(case, _trial_rngs(seed, 4, range(trials // 10))))
 
 
 def _probe_entropy_concavity(trials, seed, _corrupt):
     count = trials // 10
     worst = _Worst("mixture-margin", 1e-12)
-    for t in range(count):
-        rng = _trial_rng(seed, 5, t)
+    for rng in _trial_rngs(seed, 5, range(count)):
         n = int(rng.integers(2, 7))
         p1 = random_pmf(rng, n)
         p2 = random_pmf(rng, n, labels=p1.alphabet)
@@ -689,7 +793,7 @@ def _probe_mi_curvature(trials, seed, _corrupt):
         channel_pair = (random_cond(rng, nx, ny), random_cond(rng, nx, ny))
         return px_pair, channel_pair, ALPHA_GRID + tuple(rng.uniform(size=20))
 
-    return _mi_curvature(case(_trial_rng(seed, 6, t)) for t in range(trials // 10))
+    return _mi_curvature(map(case, _trial_rngs(seed, 6, range(trials // 10))))
 
 
 _CONVEX_FAMILY = (
@@ -702,8 +806,7 @@ _CONVEX_FAMILY = (
 
 def _probe_jensen(trials, seed, _corrupt):
     worst = _Worst("gap-margin", 1e-12)
-    for t in range(trials):
-        rng = _trial_rng(seed, 7, t)
+    for t, rng in enumerate(_trial_rngs(seed, 7, range(trials))):
         n = int(rng.integers(2, 8))
         p = random_pmf(rng, n)
         values = rng.normal(scale=2.0, size=n)
@@ -717,8 +820,7 @@ def _probe_divergence_sign(trials, seed, _corrupt):
     nonneg = _Worst("nonnegativity", 1e-12)
     equality = _Worst("self-divergence", 0.0)
     strict = _Worst("strict-positivity", 0.0)
-    for t in range(trials):
-        rng = _trial_rng(seed, 8, t)
+    for rng in _trial_rngs(seed, 8, range(trials)):
         n = int(rng.integers(2, 8))
         p = random_pmf(rng, n)
         q = random_pmf(rng, n, labels=p.alphabet)
@@ -748,7 +850,7 @@ def _binary_chains(seed: int, trials: range) -> tuple:
     draws, in one call: P(x), then the rows of P(y|x) and of P(z|y), each
     two numbers normalized by their sum.
     """
-    draws = np.array([_trial_rng(seed, 9, t).exponential(size=10) for t in trials])
+    draws = np.array([rng.exponential(size=10) for rng in _trial_rngs(seed, 9, trials)])
     rows = _row_normalized(draws.reshape(-1, 5, 2))
     _check_rows(rows.reshape(-1, 2), "binary chain")
     factors = rows[:, 0], rows[:, 1:3], rows[:, 3:]
@@ -763,8 +865,7 @@ def _probe_dpi(trials, seed, _corrupt):
     for start in range(0, binary, _STACK):
         margins, factors = _binary_chains(seed, range(start, min(start + _STACK, binary)))
         _track((dpi, corollary, markov), margins, functools.partial(_frozen_rows, factors))
-    for t in range(binary, binary + trials):
-        rng = _trial_rng(seed, 9, t)
+    for rng in _trial_rngs(seed, 9, range(binary, binary + trials)):
         spec = random_markov_chain(rng, *(int(rng.integers(2, 5)) for _ in range(3)))
         joint = markov_joint(spec)
         ixy, ixz = _processing_pair(joint)
@@ -780,8 +881,7 @@ def _probe_dpi(trials, seed, _corrupt):
 def _probe_golden(trials, seed, _corrupt):
     identity = _Worst("decomposition-identity", 1e-10)
     optimal = _Worst("optimal-aux-tightness", 1e-12)
-    for t in range(trials):
-        rng = _trial_rng(seed, 10, t)
+    for t, rng in enumerate(_trial_rngs(seed, 10, range(trials))):
         j = random_joint2(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         axis = t % 2
         labels = j.row_alphabet if axis == 0 else j.col_alphabet
@@ -801,8 +901,7 @@ def _probe_product_distance(trials, seed, _corrupt):
     value_dev = _Worst("converged-value", 1e-8)
     marginal_dev = _Worst("converged-marginals", 1e-8)
     floor = _Worst("information-floor", 1e-10)
-    for t in range(count):
-        rng = _trial_rng(seed, 11, t)
+    for rng in _trial_rngs(seed, 11, range(count)):
         j = random_joint2(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         mi = mutual_information(j)
         qx, qy, value = product_distance_minimize(j)
@@ -827,15 +926,22 @@ def _probe_dv(trials, seed, _corrupt):
     supremum = _Worst("supremum-gap", 1e-6)
     duality = _Worst("weak-duality-margin", 1e-12)
     sizes = (2, 4, 8, 16)
-    for t in range(count):
-        rng = _trial_rng(seed, 12, t)
-        n = sizes[t % len(sizes)]
-        # a light uniform floor keeps the ascent well conditioned without
-        # losing full support; convergence speed degrades like 1/min(p)
-        p = random_pmf(rng, n, uniform_mix=0.1)
-        q = random_pmf(rng, n, labels=p.alphabet, uniform_mix=0.1)
-        _, value = dv_supremum(p, q)
-        supremum.update(abs(value - kl_divergence(p, q)), (p.probs, q.probs))
+    for start in range(0, count, _STACK):
+        chunk = range(start, min(start + _STACK, count))
+        by_size, pairs = {}, []
+        for t, rng in zip(chunk, _trial_rngs(seed, 12, chunk)):
+            n = sizes[t % len(sizes)]
+            # a light uniform floor keeps the ascent well conditioned without
+            # losing full support; convergence speed degrades like 1/min(p)
+            p = random_pmf(rng, n, uniform_mix=0.1)
+            pairs.append((p, random_pmf(rng, n, labels=p.alphabet, uniform_mix=0.1)))
+            by_size.setdefault(n, []).append(len(pairs) - 1)
+        values = {}  # by row of the chunk: each size's ascents run as one stack
+        for rows in by_size.values():
+            ps, qs = zip(*(pairs[i] for i in rows))
+            values.update(zip(rows, dv_supremum(ps, qs)[1]))
+        for i, (p, q) in enumerate(pairs):
+            supremum.update(abs(values[i] - kl_divergence(p, q)), (p.probs, q.probs))
     for start in range(0, duality_count, _STACK):
         _track((duality,), *_duality_trials(seed, range(start, min(start + _STACK, duality_count))))
     return count + duality_count, (supremum, duality)
@@ -850,8 +956,7 @@ def _duality_trials(seed: int, trials: range) -> tuple:
     `trials[i]`'s and `witness(i)` is its (p, q, g).
     """
     by_size = {}
-    for i, t in enumerate(trials):
-        rng = _trial_rng(seed, 121, t)
+    for i, rng in enumerate(_trial_rngs(seed, 121, trials)):
         n = int(rng.integers(2, 9))
         rows, draws, scores = by_size.setdefault(n, ([], [], []))
         rows.append(i)
@@ -875,8 +980,7 @@ def _probe_gyp(trials, seed, _corrupt):
     singleton = _Worst("singleton-attainment", 0.0)
     mi_floor = _Worst("rectangle-information", 0.0)
     coarsest = _Worst("coarsest-rectangle-zero", 1e-12)
-    for t in range(count):
-        rng = _trial_rng(seed, 13, t)
+    for rng in _trial_rngs(seed, 13, range(count)):
         n = int(rng.integers(4, 9))
         p = random_pmf(rng, n)
         q = random_pmf(rng, n, labels=p.alphabet)

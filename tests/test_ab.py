@@ -8,6 +8,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mitk.estimators import TrainSettings, make_objective
@@ -112,3 +113,12 @@ def test_a_moved_bit_is_reported_not_an_error(ab, capsys, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split(": ", 1)[1] != lines[1].split(": ", 1)[1]
     assert lines[2] == "digests differ: the change moved bits"
+
+
+def test_machine_line_names_the_simd_set_and_the_blas_core(ab):
+    line = ab.machine()
+    core = ab.blas_core()
+    assert f", core {core}), simd {np.lib._utils_impl._opt_info()}, " in line, line
+    # a wheel's bundled OpenBLAS answers the core query
+    bundled = any((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    assert (core != "unknown") == bundled, core

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -477,8 +478,63 @@ class TestBench:
         assert list(tmp_path.iterdir()) == []
 
 
+# runs `mitk.cli.main` on its arguments, saying `ready` once mitk is imported
+INTERRUPTIBLE = ("import sys, mitk.cli; print('ready', flush=True); "
+                 "sys.exit(mitk.cli.main(sys.argv[1:]))")
+INTERRUPT_BOUND_S = 5.0  # SIGINT to exit: the rest of one trial or step, with room
+
+
+class TestInterrupt:
+    """Ctrl-C ends a long command with one `interrupted` line and exit 130."""
+
+    @staticmethod
+    def interrupt(args, cwd, started):
+        """Start `args` in a child, send SIGINT once `started()` holds, and
+        return (exit code, stderr, seconds from the signal to the exit)."""
+        src = Path(mitk.__file__).resolve().parents[1]
+        # SIGINT reset to its default in the child, so Python raises
+        # KeyboardInterrupt even when this process ignores the signal
+        child = subprocess.Popen(
+            [sys.executable, "-c", INTERRUPTIBLE, *args], cwd=cwd, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            assert child.stdout.readline() == "ready\n"
+            deadline = time.monotonic() + 60.0
+            while not started():
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(0.5)  # well into the work
+            assert child.poll() is None, "the command ended before the signal"
+            child.send_signal(signal.SIGINT)
+            sent = time.monotonic()
+            _, err = child.communicate(timeout=60.0)
+            return child.returncode, err, time.monotonic() - sent
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+
+    def test_verify_exits_130_without_a_traceback(self, tmp_path):
+        code, err, seconds = self.interrupt(["verify", "--trials", "10000000"], tmp_path,
+                                            lambda: True)
+        assert (code, err) == (130, "interrupted\n")
+        assert seconds < INTERRUPT_BOUND_S
+
+    def test_train_exits_130_without_a_traceback(self, tmp_path):
+        args = ["train", "--estimator", "nwj", "--dim", "2", "--target-mi", "1",
+                "--out", "out"] + FAST + ["--steps", "1000000"]
+        code, err, seconds = self.interrupt(
+            args, tmp_path, (tmp_path / "out" / "config_resolved.txt").exists)
+        assert (code, err) == (130, "interrupted\n")
+        assert seconds < INTERRUPT_BOUND_S
+        # interrupted mid-training: no trajectory was written
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["config_resolved.txt"]
+
+
 # one wide layer per network on a small batch
-WIDE = ["--batch-size", "2000", "--set", "critic.widths=100000", "--set", "critic.embed=1"]
+WIDE =["--batch-size", "2000", "--set", "critic.widths=100000", "--set", "critic.embed=1"]
 
 
 class TestBadInputWritesNothing:

@@ -28,6 +28,8 @@ from mitk.discrete import (
 )
 from mitk.variational import (
     _STACK,
+    DV_LR,
+    DV_STEPS,
     CheckResult,
     MarkovChainSpec,
     Partition,
@@ -58,7 +60,7 @@ from mitk.variational import (
     _probe_dpi,
     _probe_dv,
     _track,
-    _trial_rng,
+    _trial_rngs,
 )
 
 # frozen oracles (direct summation)
@@ -72,6 +74,24 @@ DIAGONAL = JointPmf2(("r0", "r1"), ("c0", "c1"), [[0.5, 0.0], [0.0, 0.5]])
 INDEP = JointPmf2(("r0", "r1"), ("c0", "c1"), [[0.21, 0.09], [0.49, 0.21]])
 P_AB = Pmf(("a", "b"), [0.75, 0.25])
 Q_AB = Pmf(("a", "b"), [0.5, 0.5])
+
+
+def dv_ascent_oracle(p, q):
+    """`dv_supremum` one pair at a time, as the library ran it before its ascent
+    took stacks: (final scores, value, steps taken)."""
+    pv, log_q = p.probs, np.log(q.probs)
+    g = np.zeros(len(p))
+    history = []
+    for step in range(1, DV_STEPS + 1):
+        shifted = g + log_q
+        peak = shifted.max()
+        weights = np.exp(shifted - peak)
+        total = weights.sum()
+        history.append(float(pv @ g - (peak + math.log(total))))
+        g = g + DV_LR * (pv - weights / total)
+        if len(history) > 10 and abs(history[-1] - history[-11]) < 1e-12:
+            break
+    return g, dv_value(p, q, g), step
 
 
 def _per_k_rgs(n, max_blocks):
@@ -289,6 +309,40 @@ class TestDonskerVaradhan:
         p = Pmf(("a", "b"), [1.0, 0.0])
         with pytest.raises(ValueError):
             dv_supremum(p, Q_AB)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_stacked_ascent_keeps_the_bits_of_each_pair(self, n):
+        rng = np.random.default_rng(600 + n)
+        ps = [random_pmf(rng, n, uniform_mix=rng.choice([0.0, 0.1])) for _ in range(9)]
+        # one identical pair: its value stops moving at once
+        ps.append(ps[0])
+        qs = [random_pmf(rng, n, labels=p.alphabet, uniform_mix=rng.choice([0.0, 0.1]))
+              for p in ps[:-1]] + [ps[0]]
+        scores, values = dv_supremum(ps, qs)
+        assert scores.shape == (len(ps), n) and len(values) == len(ps)
+        steps = set()
+        for p, q, row, value in zip(ps, qs, scores, values):
+            g, expected, taken = dv_ascent_oracle(p, q)
+            assert (row.tobytes(), value.hex()) == (g.tobytes(), expected.hex())
+            single = dv_supremum(p, q)
+            assert (single[0].tobytes(), single[1].hex()) == (g.tobytes(), expected.hex())
+            steps.add(taken)
+        # rows stop on different steps, and at n >= 8 some run all DV_STEPS
+        assert len(steps) >= 3, steps
+        assert DV_STEPS in steps or n < 8, steps
+
+    @pytest.mark.parametrize("p, q, match", [
+        ([P_AB, random_pmf(np.random.default_rng(1), 3)],
+         [Q_AB, random_pmf(np.random.default_rng(2), 3)], "one alphabet size"),
+        ([P_AB, Pmf(("a", "b"), [1.0, 0.0])], [Q_AB, Q_AB], "full support"),
+        ([P_AB, P_AB], [Q_AB, Pmf(("a", "b"), [1.0, 0.0])], "full support"),
+        ([P_AB, P_AB], [Q_AB, Pmf(("x", "y"), [0.5, 0.5])], "identical alphabets"),
+        ([P_AB, P_AB], [Q_AB], "equal length"),
+        ([], [], "nonempty"),
+    ])
+    def test_bad_stacks_are_refused(self, p, q, match):
+        with pytest.raises(ValueError, match=match):
+            dv_supremum(p, q)
 
 
 class TestGyp:
@@ -678,6 +732,10 @@ GOLDEN_CHECK_DIGESTS = {
     # 1,000 binary chains and 1,000 duality trials each, one stack of each
     (100, 0, False): "f45a046b71d922e5d13e806f57ed1d3e866bf0496fa0d5c4468d9ba3abf652d9",
     (100, 7, False): "fe7aee32ee1b26ade8b062eeca550a1b82443942540d6c78c26fb62bd1565885",
+    # seeds of three and five 32-bit words: SeedSequence mixes the words past
+    # its pool of four in a last pass
+    (20, 2**64 + 5, False): "bc52239a2b5811ccd680ede8463e79285c51e439e45f2d13b7c4282a2d25ac89",
+    (20, 2**128 + 1, False): "312f052d7d140c3e0d564a555815f17d65ef6ca6e296085990c7aa0a6e2c6862",
 }
 
 
@@ -753,7 +811,7 @@ def _cmi_oracle(table, conditioning):
 def dpi_trial(seed, t):
     """T09's margins and witness for chain t, one generator call and one table
     at a time, each quantity computed as it was before the kernels took stacks."""
-    rng = _trial_rng(seed, 9, t)
+    rng = np.random.default_rng([seed, 9, t])
     if t < 10 * TRIALS:
         nx = ny = nz = 2
     else:
@@ -769,7 +827,7 @@ def dpi_trial(seed, t):
 def duality_trial(seed, t):
     """T12's weak-duality margin and witness for trial t, one table at a time,
     the log-partition by scipy (which the DV kernel matches bit for bit)."""
-    rng = _trial_rng(seed, 121, t)
+    rng = np.random.default_rng([seed, 121, t])
     n = int(rng.integers(2, 9))
     p = random_pmf(rng, n)
     q = random_pmf(rng, n, labels=p.alphabet)
@@ -858,3 +916,45 @@ class TestStackedProbes:
 
         one, four = peak(_STACK // 10), peak(4 * _STACK // 10)
         assert four <= 1.5 * one, (one, four)
+
+
+def _draws(rng):
+    """What the probes draw, in one tuple: integers, floats, normals, exponentials."""
+    return (rng.integers(2, 9), rng.uniform(size=3).tobytes(), rng.normal(size=2).tobytes(),
+            rng.exponential(size=3).tobytes(), rng.integers(0, 2**63, size=2).tobytes())
+
+
+class TestTrialStreams:
+    """Each probe trial's generator is keyed in a vectorized pass; its stream
+    is the one `np.random.default_rng([seed, probe, t])` gives, which stays
+    here as the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 5, 2**128 + 1])
+    @pytest.mark.parametrize("trials", [
+        range(0), range(1), range(37), range(_STACK - 3, _STACK + 4),
+        range(2 * _STACK - 1, 2 * _STACK + 1),
+        # the trial index grows a second 32-bit word mid-range
+        range(2**32 - 2, 2**32 + 2)])
+    def test_streams_equal_default_rng(self, seed, trials):
+        probe = 121
+        got = [_draws(rng) for rng in _trial_rngs(seed, probe, trials)]
+        assert got == [_draws(np.random.default_rng([seed, probe, t])) for t in trials]
+
+    def test_a_generator_is_rekeyed_in_place(self):
+        rngs = _trial_rngs(3, 9, range(_STACK + 2))
+        first = next(rngs)
+        assert all(rng is first for rng in rngs)
+
+    def test_memory_is_one_chunk_however_many_trials(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                for _ in _trial_rngs(2**64 + 5, 9, trials):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, five = peak(range(_STACK)), peak(range(5 * _STACK))
+        # one chunk's columns and key lists peak near 0.3 MB at _STACK = 1000
+        assert five <= one + 16 * 1024, (one, five)
