@@ -22,8 +22,10 @@ The operation, named first and `verify` unless given, is one of:
   sample is `VALUE_CALLS` calls after one untimed one, and its digest is
   the value as a float hex.
 
-It first prints each side's digest. Differing digests mean the change
-moved bits; that is reported, not an error. Then it runs the operation on
+It first prints each side's digest, after the line count of its
+`src/mitk/*.py` (the design metric: the same behaviour from fewer lines).
+Differing digests mean the change moved bits; that is reported, not an
+error. Then it runs the operation on
 each side in N pairs, alternating which side runs first, and prints one
 line: the median head/base ratio of wall times, its quartiles, the number
 of pairs in which head was faster, and each side's median seconds; then
@@ -100,6 +102,11 @@ def load_tree(root: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def line_count(root: Path) -> int:
+    """The lines of `root/src/mitk/*.py`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "mitk").glob("*.py"))
 
 
 def _sha(data: bytes) -> str:
@@ -215,11 +222,13 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     label = " ".join([name] + [f"--{key} {getattr(args, key)}" for key in options])
     with tempfile.TemporaryDirectory(prefix="mitk-ab-") as tmp:
-        sides = [load_tree(export(tree, Path(tmp) / package), package)
+        roots = [export(tree, Path(tmp) / package)
                  for tree, package in ((args.base, "mitk_a"), (args.head, "mitk_b"))]
+        sides = [load_tree(root, root.name) for root in roots]
         digests = [operation(side, args)[1] for side in sides]
-        for side, tree, digest in zip(("base", "head"), (args.base, args.head), digests):
-            print(f"{side} {tree}: {label} {digest}")
+        for side, tree, root, digest in zip(("base", "head"), (args.base, args.head), roots,
+                                            digests):
+            print(f"{side} {tree} ({line_count(root)} src lines): {label} {digest}")
         if digests[0] != digests[1]:
             print("digests differ: the change moved bits")
         times = [], []

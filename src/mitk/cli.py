@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -159,9 +160,22 @@ def _settings_from_config(config: dict, seed: int) -> TrainSettings:
     return TrainSettings(seed=seed, **fields)
 
 
+def _write_whole(path: Path, text: str) -> None:
+    """Write `text` to `path` whole or not at all: into a temporary name in the
+    same directory, unique to this process and thread, then moved into place
+    with `os.replace`; the file gets the mode `write_text` gives."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        temp.write_text(text)
+        os.replace(temp, path)
+    except BaseException:  # Ctrl-C mid-write too
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _echo_config(config: dict, out_dir: Path) -> None:
     lines = [f"{key}={config[key]}" for key in sorted(config)]
-    (out_dir / "config_resolved.txt").write_text("\n".join(lines) + "\n")
+    _write_whole(out_dir / "config_resolved.txt", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +234,7 @@ def _run_one(kind, task: GaussianTask, settings: TrainSettings, out_dir: Path):
     """Train one run and write its trajectory CSV; returns (CSV path, trajectory)."""
     trajectory = train_estimator(kind, task, settings)
     path = out_dir / trajectory_filename(trajectory)
-    path.write_text(trajectory_csv_text(trajectory))
+    _write_whole(path, trajectory_csv_text(trajectory))
     return path, trajectory
 
 
@@ -328,7 +342,8 @@ def _cmd_bench(args) -> int:
     runs = [(tag, seed) for tag in tags for seed in seeds]
     results: dict = {}
     failures = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         futures = {
             pool.submit(_run_one, tag, task, replace(settings, seed=seed), out_dir): (tag, seed)
             for tag, seed in runs
@@ -343,13 +358,15 @@ def _cmd_bench(args) -> int:
             else:
                 # a tag gets a summary row only once one of its runs finished
                 results.setdefault(tag, []).append(trajectory)
+    finally:  # on Ctrl-C the runs in flight finish and the queued ones never start
+        pool.shutdown(cancel_futures=True)
 
     rows = [
         _summarize(tag, task, sorted(results[tag], key=lambda t: t.seed))
         for tag in sorted(results)
     ]
     print(_summary_table_text(rows))
-    (out_dir / "summary.csv").write_text(_summary_csv_text(rows))
+    _write_whole(out_dir / "summary.csv", _summary_csv_text(rows))
     for tag, seed, message in failures:
         print(f"run failed: {tag} seed={seed}: {message}", file=sys.stderr)
     for tag in dict.fromkeys(tag for tag, _, _ in failures):

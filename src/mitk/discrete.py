@@ -70,8 +70,11 @@ def _clip_residue(value: float) -> float:
 
 def _row_sums(terms: np.ndarray) -> list:
     """Each row's correctly rounded sum (math.fsum) of the stacked `terms`,
-    row i being everything under `terms[i]`; one `tolist` for the stack."""
-    return [math.fsum(row) for row in terms.reshape(len(terms), -1).tolist()]
+    row i being everything under `terms[i]`; one `tolist` per 256 rows, so no
+    list of a whole stack's floats is built."""
+    rows = terms.reshape(len(terms), -1)
+    return [math.fsum(row) for start in range(0, len(rows), 256)
+            for row in rows[start:start + 256].tolist()]
 
 
 def _check_rows(rows: np.ndarray, what: str, row_labels=None) -> None:

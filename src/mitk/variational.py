@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr
+from scipy.special import logsumexp, rel_entr
 
 from .discrete import (
     CondPmf,
@@ -29,6 +29,7 @@ from .discrete import (
     _mi,
     _normalized,
     _row_normalized,
+    _row_sums,
     conditional_mutual_information,
     entropy,
     joint_entropy,
@@ -371,28 +372,6 @@ def product_distance_minimize(j: JointPmf2) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """ln sum e^a of each row of a 2-D array, by the operations of scipy.special.logsumexp.
-
-    The m entries tied at a row's peak are split out of its sum for
-    precision: peak + ln m + log1p(s / m), with s the sum of the other
-    shifted terms. A row whose result is infinite or undefined falls back to
-    ln sum e^a directly.
-    """
-    peak = a.max(axis=1, keepdims=True)
-    ties = a == peak
-    count = ties.sum(axis=1, dtype=float)
-    with np.errstate(invalid="ignore"):
-        rest = np.exp(np.where(ties, -np.inf, a) - peak).sum(axis=1)
-    np.divide(rest, count, out=rest, where=rest != 0.0)
-    out = np.log1p(rest) + np.log(count) + peak[:, 0]
-    direct = ~np.isfinite(out)
-    if direct.any():
-        with np.errstate(divide="ignore", over="ignore"):
-            out[direct] = np.log(np.exp(a[direct]).sum(axis=1))
-    return out
-
-
 def dv_value(p: Pmf, q: Pmf, g) -> float:
     """E_p[g] - ln E_q[e^g], the Donsker-Varadhan objective for score vector g.
 
@@ -411,11 +390,11 @@ def dv_value(p: Pmf, q: Pmf, g) -> float:
 
 def _dv_values(p: np.ndarray, q: np.ndarray, g: np.ndarray) -> list:
     """The Donsker-Varadhan objective of each row of the stacked p, q and g."""
-    with np.errstate(divide="ignore"):
-        log_q = np.where(q > 0, np.log(np.where(q > 0, q, 1.0)), -np.inf)
+    # ln 0 is -inf, and so is a shifted score more than the float range below the peak
+    with np.errstate(divide="ignore", over="ignore"):
+        log_z = logsumexp(g + np.log(q), axis=1)
     # one dot per row: a stacked product (einsum) rounds some rows differently
-    return [float(p_row @ g_row) - log_z
-            for p_row, g_row, log_z in zip(p, g, _logsumexp(g + log_q).tolist())]
+    return [float(p_row @ g_row) - z for p_row, g_row, z in zip(p, g, log_z.tolist())]
 
 
 def dv_supremum(p, q) -> tuple:
@@ -519,10 +498,7 @@ def _block_masses(probs: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _partition_values(masses_p: np.ndarray, masses_q: np.ndarray) -> np.ndarray:
     """sum_E P[E] ln(P[E]/Q[E]) for each row of block masses, an exact sum
     of the row's terms; overwrites `masses_p`."""
-    terms = rel_entr(masses_p, masses_q, out=masses_p)
-    # 256 rows at a time, so no list of the whole table's floats is built
-    return np.array([math.fsum(row) for start in range(0, len(terms), 256)
-                     for row in terms[start:start + 256].tolist()])
+    return np.array(_row_sums(rel_entr(masses_p, masses_q, out=masses_p)))
 
 
 def partition_divergence(p: Pmf, q: Pmf, partition: Partition) -> float:

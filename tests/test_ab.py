@@ -122,3 +122,17 @@ def test_machine_line_names_the_simd_set_and_the_blas_core(ab):
     # a wheel's bundled OpenBLAS answers the core query
     bundled = any((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
     assert (core != "unknown") == bundled, core
+
+
+def test_each_side_prints_its_source_line_count(ab, capsys, tmp_path):
+    changed = ab.export(str(REPO), tmp_path / "changed")
+    with (changed / "src" / "mitk" / "gaussian.py").open("a") as module:
+        module.write("\n# three\n# more lines\n")
+    assert ab.main([str(REPO), str(changed), "--pairs", "2", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counts = [int(re.fullmatch(rf"{side} \S+ \((\d+) src lines\): verify --trials 1 "
+                               r"--seed 0 exit=0 stdout=[0-9a-f]{64}", line)[1])
+              for side, line in zip(("base", "head"), lines)]
+    # as `wc -l src/mitk/*.py` counts them
+    wc = sum(len(path.read_bytes().splitlines()) for path in (REPO / "src" / "mitk").glob("*.py"))
+    assert counts == [wc, wc + 3]

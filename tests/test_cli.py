@@ -532,6 +532,65 @@ class TestInterrupt:
         # interrupted mid-training: no trajectory was written
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["config_resolved.txt"]
 
+    def test_bench_exits_130_without_a_traceback(self, tmp_path):
+        # 200 runs of about 0.1 s on two workers: the queued ones must not run
+        runs = 200
+        args = ["bench", "--estimators", "nwj", "--seeds", str(runs), "--workers", "2",
+                "--dim", "2", "--target-mi", "1", "--out", "out"] + FAST + ["--steps", "200"]
+        out = tmp_path / "out"
+        code, err, seconds = self.interrupt(args, tmp_path, lambda: any(out.glob("nwj_*.csv")))
+        assert (code, err) == (130, "interrupted\n")
+        assert seconds < INTERRUPT_BOUND_S
+        written = sorted(p.name for p in out.iterdir())
+        csvs = [name for name in written if name.startswith("nwj_")]
+        assert 0 < len(csvs) < runs
+        # every file whole, none left half-named; no summary of an interrupted sweep
+        assert written == ["config_resolved.txt", *csvs]
+        assert all(path.stat().st_size > 0 for path in out.iterdir())
+
+
+TRAIN_NWJ = ["train", "--estimator", "nwj", "--dim", "2", "--target-mi", "1"] + FAST
+
+
+class TestWholeFiles:
+    """Every artifact is written under a temporary name and moved into place,
+    so it exists whole or not at all."""
+
+    def test_runs_leave_only_their_artifacts_with_write_texts_mode(self, tmp_path, capsys):
+        assert main(TRAIN_NWJ + ["--out", str(tmp_path / "train")]) == 0
+        assert main(["bench", "--estimators", "nwj,ba_upper", "--seeds", "2", "--workers", "2",
+                     "--dim", "2", "--target-mi", "1", "--out", str(tmp_path / "bench")]
+                    + FAST) == 0
+        assert sorted(p.name for p in (tmp_path / "train").iterdir()) == [
+            "config_resolved.txt", "nwj_2_1_0.csv"]
+        assert sorted(p.name for p in (tmp_path / "bench").iterdir()) == [
+            "ba_upper_2_1_0.csv", "ba_upper_2_1_1.csv", "config_resolved.txt",
+            "nwj_2_1_0.csv", "nwj_2_1_1.csv", "summary.csv"]
+        (tmp_path / "plain").write_text("")
+        mode = (tmp_path / "plain").stat().st_mode
+        assert {p.stat().st_mode for p in tmp_path.glob("*/*")} == {mode}
+
+    @pytest.mark.parametrize("fault, code", [("write", 2), ("replace", 2),
+                                             ("interrupt", 130)])
+    def test_a_failed_write_leaves_neither_file_nor_temporary(self, tmp_path, capsys,
+                                                              monkeypatch, fault, code):
+        write_text = Path.write_text
+
+        def half_written(path, text):
+            write_text(path, text[:len(text) // 2])  # then the disk fills, or Ctrl-C
+            raise KeyboardInterrupt if fault == "interrupt" else OSError("disk full")
+
+        def refused(src, dst):
+            raise OSError("replace refused")
+
+        if fault == "replace":
+            monkeypatch.setattr(os, "replace", refused)
+        else:
+            monkeypatch.setattr(Path, "write_text", half_written)
+        out = tmp_path / "out"
+        assert main(TRAIN_NWJ + ["--out", str(out)]) == code
+        assert list(out.iterdir()) == []
+
 
 # one wide layer per network on a small batch
 WIDE =["--batch-size", "2000", "--set", "critic.widths=100000", "--set", "critic.embed=1"]
@@ -644,6 +703,19 @@ class TestBadInputWritesNothing:
         self.assert_clean_input_error(done.returncode, done.stderr, tmp_path,
                                       "batch_size 20000 needs a 480000000-byte value "
                                       "working set")
+
+    @pytest.mark.parametrize("command", [["train", "--estimator", "l1out"],
+                                         ["bench", "--estimators", "l1out", "--seeds", "1"]])
+    def test_l1out_fits_where_its_untiled_table_would_not(self, tmp_path, command):
+        # the counterpart: at n = 3000, d = 20 an untiled (n, n, d) density
+        # table is 1.44 GB, which malloc refuses under the cap at once, while
+        # the (2, n, n) table pair l1out owns and runs its value in is 144 MB
+        n, dim = 3000, 20
+        assert 8 * n * n * dim > 768 << 20 > 8 * 2 * n * n
+        done = run_capped(command + ["--target-mi", "2", "--dim", str(dim), "--steps", "0",
+                                     "--batch-size", str(n), "--out", str(tmp_path)])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "l1out_20_2_0.csv").read_text().count("\n") == 2  # header, step 0
 
     def test_run_count_past_the_bound(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mitk.cli, "train_estimator", self.never)

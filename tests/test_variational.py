@@ -277,33 +277,41 @@ class TestDonskerVaradhan:
         assert value == pytest.approx(kl_divergence(p, q), abs=1e-6)
 
     def test_logsumexp_bitwise_equals_scipy(self):
+        """Each DV value, one row at a time or as a row of a stack, is
+        p @ g - scipy.special.logsumexp(g + ln q) to the bit."""
         rng = np.random.default_rng(5)
-        vectors = [
-            np.array([0.0]),
-            np.array([3.0, 3.0, 3.0]),  # all tied at the peak
-            np.array([1.0, 2.0, 2.0, -np.inf]),
-            np.array([-np.inf, 0.5, -np.inf]),
-            np.array([-np.inf, -np.inf]),  # empty support: ln 0
-            np.array([700.0, 699.5, -700.0, 700.0]),
-            np.array([-745.0, -746.0, -800.0]),
-            np.array([1e308, 1e308, 0.0]),  # the peak-shifted form overflows
-        ]
+        triples = []  # (p, q, g)
+        for g in ([0.0], [3.0, 3.0, 3.0], [700.0, 699.5, -700.0, 700.0], [-745.0, -746.0, -800.0],
+                  [1e308, 1e308, 0.0], [-1e308, -1e308], [1e308, -1e308, 1e308]):
+            uniform = np.full(len(g), 1.0 / len(g))  # with tied scores, tied peaks
+            triples.append((uniform, uniform, np.array(g)))
+        # zero-mass cells of q drop out of the log-partition
+        triples.append((np.array([0.5, 0.25, 0.25]), np.array([0.0, 0.5, 0.5]),
+                        np.array([2.0, 1.0, 1.0])))
+        triples.append((np.array([0.2, 0.8]), np.array([1.0, 0.0]), np.array([-3.0, 1e308])))
         for _ in range(2000):
-            a = rng.normal(scale=rng.choice([1.0, 30.0, 300.0]), size=int(rng.integers(1, 17)))
-            a[rng.uniform(size=a.size) < 0.2] = -np.inf
-            if rng.uniform() < 0.3:
-                a[rng.integers(a.size, size=2)] = a.max()  # ties at the peak
-            vectors.append(a)
+            n = int(rng.integers(1, 17))
+            p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            g = rng.normal(scale=rng.choice([1.0, 30.0, 300.0]), size=n)
+            if n > 1 and rng.uniform() < 0.3:
+                i, j = rng.choice(n, size=2, replace=False)
+                q[j], g[j] = q[i], g[i]  # g + ln q tied at two cells
+            q[rng.uniform(size=n) < 0.2] = 0.0
+            if not q.any():
+                q[0] = 1.0
+            triples.append((p, q / q.sum(), g))
         by_size = {}
-        for a in vectors:
-            with np.errstate(all="ignore"):
-                expected = float(scipy.special.logsumexp(a))
-            assert mitk.variational._logsumexp(a[None])[0].hex() == expected.hex(), a
-            by_size.setdefault(a.size, ([], []))[0].append(a)
-            by_size[a.size][1].append(expected.hex())
-        # each row of a stack, the fallback rows included, as on its own
-        for rows, expected in by_size.values():
-            assert [v.hex() for v in mitk.variational._logsumexp(np.array(rows))] == expected
+        for p, q, g in triples:
+            with np.errstate(divide="ignore", over="ignore"):  # ln 0; a gap past the range
+                expected = float(p @ g) - float(scipy.special.logsumexp(g + np.log(q)))
+            got = mitk.variational._dv_values(p[None], q[None], g[None])
+            assert [value.hex() for value in got] == [expected.hex()], (p, q, g)
+            by_size.setdefault(len(g), []).append(((p, q, g), expected.hex()))
+        # each row of a stack of one alphabet size, as on its own
+        for rows in by_size.values():
+            stack = (np.array(column) for column in zip(*(triple for triple, _ in rows)))
+            got = mitk.variational._dv_values(*stack)
+            assert [value.hex() for value in got] == [hexed for _, hexed in rows]
 
     def test_requires_full_support(self):
         p = Pmf(("a", "b"), [1.0, 0.0])
