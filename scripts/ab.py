@@ -28,8 +28,11 @@ Differing digests mean the change moved bits; that is reported, not an
 error. Then it runs the operation on
 each side in N pairs, alternating which side runs first, and prints one
 line: the median head/base ratio of wall times, its quartiles, the number
-of pairs in which head was faster, and each side's median seconds; then
-the machine. With `--json PATH` it also writes both sides' digests, their
+of pairs in which head was faster, and each side's median seconds. For
+`verify` one more line gives each theorem's median head/base ratio of the
+seconds `mitk verify` prints on stderr (`T12 seconds=0.050`), over the
+pairs whose base read more than 0; `-` where none did. Then it prints the
+machine. With `--json PATH` it also writes both sides' digests, their
 raw seconds in pair order and the ratios to PATH. BLAS is pinned to one
 thread before numpy loads, unless the environment already sets it. It
 writes nothing but the `--json` file.
@@ -53,6 +56,7 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -114,20 +118,38 @@ def _sha(data: bytes) -> str:
 
 
 def verify(mitk, args) -> tuple:
-    """(wall seconds, digest) of one `mitk verify` through `cli.main`."""
+    """(wall seconds, digest, {theorem: its seconds}) of one `mitk verify`
+    through `cli.main`."""
     cli = importlib.import_module(mitk.__name__ + ".cli")
     argv = ["--trials", str(args.trials), "--seed", str(args.seed)]
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     gc.collect()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         start = time.perf_counter()
         code = cli.main(["verify", *argv])
         seconds = time.perf_counter() - start
-    return seconds, f"exit={code} stdout={_sha(out.getvalue().encode())}"
+    digest = f"exit={code} stdout={_sha(out.getvalue().encode())}"
+    return seconds, digest, theorem_seconds(err.getvalue())
+
+
+def theorem_seconds(stderr: str) -> dict:
+    """{theorem: seconds} of the `T12 seconds=0.050` lines of `mitk verify`'s stderr."""
+    return {match[1]: float(match[2])
+            for match in re.finditer(r"^(T\d+) seconds=(\S+)$", stderr, re.MULTILINE)}
+
+
+def theorem_ratios(base: list, head: list) -> str:
+    """Each theorem's median head/base ratio over the pairs of {theorem:
+    seconds} runs whose base read more than 0 (`-` if none did)."""
+    medians = []
+    for theorem in base[0]:
+        ratios = [h[theorem] / b[theorem] for b, h in zip(base, head) if b[theorem] > 0]
+        medians.append(f"{theorem} {statistics.median(ratios):.3f}" if ratios else f"{theorem} -")
+    return "per theorem head/base median: " + ", ".join(medians)
 
 
 def train(mitk, args) -> tuple:
-    """(wall seconds, digest) of one `train_estimator` run at the benchmark
+    """(wall seconds, digest, {}) of one `train_estimator` run at the benchmark
     configuration; an untrained estimator has no parameters ("-")."""
     estimators = mitk.estimators
     task = mitk.gaussian.task_for_target_mi(20, 2.0)
@@ -140,12 +162,12 @@ def train(mitk, args) -> tuple:
     seconds = time.perf_counter() - start
     csv = _sha(estimators.trajectory_csv_text(trajectory).encode())
     params = "-" if objective.params is None else _sha(objective.params.tobytes())
-    return seconds, f"csv={csv} params={params}"
+    return seconds, f"csv={csv} params={params}", {}
 
 
 def value(mitk, args) -> tuple:
-    """(wall seconds of VALUE_CALLS values after one untimed call, digest) of
-    one objective's value on held-out stream 1 at the benchmark configuration."""
+    """(wall seconds of VALUE_CALLS values after one untimed call, digest, {})
+    of one objective's value on held-out stream 1 at the benchmark configuration."""
     estimators, gaussian = mitk.estimators, mitk.gaussian
     task = gaussian.task_for_target_mi(20, 2.0)
     settings = estimators.TrainSettings(batch_size=128, seed=args.seed, critic_form=args.form)
@@ -157,7 +179,7 @@ def value(mitk, args) -> tuple:
     for _ in range(VALUE_CALLS):
         objective.value(batch)
     seconds = time.perf_counter() - start
-    return seconds, f"value={estimate.hex()}"
+    return seconds, f"value={estimate.hex()}", {}
 
 
 # operation: (function, the options its run depends on)
@@ -231,10 +253,12 @@ def main(argv=None) -> int:
             print(f"{side} {tree} ({line_count(root)} src lines): {label} {digest}")
         if digests[0] != digests[1]:
             print("digests differ: the change moved bits")
-        times = [], []
+        times, parts = ([], []), ([], [])  # parts: each run's {theorem: seconds}
         for pair in range(args.pairs):
             for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
-                times[side].append(operation(sides[side], args)[0])
+                seconds, _, part = operation(sides[side], args)
+                times[side].append(seconds)
+                parts[side].append(part)
         forget("mitk_a")
         forget("mitk_b")
     ratios = [head / base for base, head in zip(*times)]
@@ -244,6 +268,8 @@ def main(argv=None) -> int:
           f"(quartiles {low:.3f}-{high:.3f}), head faster in {wins}/{args.pairs} pairs; "
           f"median s base {statistics.median(times[0]):.4f}, "
           f"head {statistics.median(times[1]):.4f}")
+    if parts[0][0]:
+        print(theorem_ratios(*parts))
     host = machine()
     print(host)
     if args.json is not None:

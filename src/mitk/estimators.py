@@ -347,6 +347,10 @@ class Objective:
     def value_and_grad(self, batch: SampleBatch) -> float:
         raise NotImplementedError(f"{type(self).__name__} has nothing to train")
 
+    def divergence_cause(self) -> str:
+        """What a `TrainingDiverged` adds about the last value ("" for none)."""
+        return ""
+
     def _own(self, arrays: list, settings: "TrainSettings"):
         """Copy `arrays` into `params`, with `grad` and `adam` to match;
         returns (parameter views, gradient views)."""
@@ -455,6 +459,16 @@ class _CriticBound(Objective):
     def value(self, batch):
         return self._forward(batch)[0]
 
+    def divergence_cause(self) -> str:
+        """The last table's max |score| and, for the tangent bounds, how many
+        column ratios e^(column log-mean-exp - log a) overflowed; taken only
+        when a run diverges, so no step pays for them."""
+        cause = f"max |score| {float(np.abs(self.cache[-1]).max()):.6g}"
+        if self.kernels[0] is _tangent:
+            cause += (f", e^(column log-mean-exp - log a) overflowed in "
+                      f"{int(np.isposinf(self.state).sum())} of {self.state.size} columns")
+        return cause
+
     def value_and_grad(self, batch):
         value, scores, args = self._forward(batch)
         if math.isfinite(value):
@@ -560,10 +574,12 @@ class EstimateTrajectory:
 
 class TrainingDiverged(RuntimeError):
     """Raised when a training objective or a held-out estimate goes non-finite;
-    the message names which of the two (`what`) and the value it read."""
+    the message names which of the two (`what`), the value it read and, last,
+    the objective's `divergence_cause` if it has one."""
 
-    def __init__(self, step: int, config: dict, what: str, value: float):
-        super().__init__(f"non-finite {what} {value} at step {step}; config={config}")
+    def __init__(self, step: int, config: dict, what: str, value: float, cause: str = ""):
+        super().__init__(f"non-finite {what} {value} at step {step}; config={config}"
+                         + (f"; {cause}" if cause else ""))
         self.step = step
         self.config = config
 
@@ -611,7 +627,8 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
             batch = sample(task, bs, seed, stream=2 * len(records) + 1, out=objective.samples)
             value = objective.value(batch)
             if not math.isfinite(value):
-                raise TrainingDiverged(t, config, "held-out estimate", value)
+                raise TrainingDiverged(t, config, "held-out estimate", value,
+                                       objective.divergence_cause())
             smoothed = value if smoothed is None else (
                 settings.smoothing * smoothed + (1.0 - settings.smoothing) * value
             )
@@ -620,7 +637,7 @@ def train_estimator(kind, task: GaussianTask, settings: TrainSettings,
             batch = sample(task, bs, seed, stream=2 * t + 2, out=objective.samples)
             value = objective.value_and_grad(batch)
             if not math.isfinite(value):
-                raise TrainingDiverged(t, config, "objective", value)
+                raise TrainingDiverged(t, config, "objective", value, objective.divergence_cause())
             # Adam descends, the bounds are maximized
             np.negative(objective.grad, out=objective.grad)
             nets.adam_update(objective.adam, objective.params, objective.grad)

@@ -406,10 +406,10 @@ def dv_supremum(p, q) -> tuple:
     mass. Requires full support of both p and q.
 
     Returns (optimal score vector, attained value). `p` and `q` may also be
-    two equal-length sequences of Pmfs of one alphabet size, each p[i]
-    sharing q[i]'s alphabet: their ascents then run as one stack, each row
-    stopping at its own step, and the return value is (a (k, n) array of
-    score rows, a list of k values), row i bit for bit what
+    two equal-length sequences of Pmfs, each p[i] sharing q[i]'s alphabet,
+    of any mix of alphabet sizes: their ascents then run as one stack, each
+    row stopping at its own step, and the return value is (a list of k
+    score vectors, a list of k values), pair i's bit for bit what
     `dv_supremum(p[i], q[i])` returns.
     """
     single = isinstance(p, Pmf)
@@ -418,48 +418,66 @@ def dv_supremum(p, q) -> tuple:
         raise ValueError("dv_supremum needs two nonempty sequences of equal length")
     if any(pi.alphabet != qi.alphabet for pi, qi in zip(ps, qs)):
         raise ValueError("dv_supremum requires identical alphabets")
-    if len({len(pi) for pi in ps}) != 1:
-        raise ValueError("a dv_supremum stack needs one alphabet size")
-    pv, qv = np.array([pi.probs for pi in ps]), np.array([qi.probs for qi in qs])
-    if np.any(pv <= 0) or np.any(qv <= 0):
+    if any((pi.probs <= 0).any() or (qi.probs <= 0).any() for pi, qi in zip(ps, qs)):
         raise ValueError("dv_supremum requires full support of p and q")
-    g = _dv_ascent(pv, np.log(qv))
+    g = _dv_ascent([pi.probs for pi in ps], [qi.probs for qi in qs])
     values = [dv_value(pi, qi, row) for pi, qi, row in zip(ps, qs, g)]
     return (g[0], values[0]) if single else (g, values)
 
 
-def _dv_ascent(pv: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """The final scores of `dv_supremum`'s ascent on each row of the stacked
-    p and ln q, each row stopping at its own step.
+def _dv_ascent(ps: list, qs: list) -> list:
+    """The final scores of `dv_supremum`'s ascent on each pair of probability
+    vectors, each row stopping at its own step.
 
-    The steps' arrays are stacked; each row's value takes its own dot and
-    `math.log`, which keep the bits of a one-row ascent.
+    The rows run as one (k, W) stack sorted by size, W the largest. Cells
+    past a row's size hold p = 0 and ln q = -inf, so e^ gives 0 there and g
+    stays 0. Each size's row sums and dots run on its [a:b, :n] block, as a
+    one-size stack would: padding zeros into a sum can move its rounding.
+    Each row's value takes its own dot and `math.log`, which keep the bits
+    of a one-row ascent.
     """
-    final = np.empty_like(pv)
-    rows = list(range(len(pv)))  # the stack row each live row came from
-    g = np.zeros_like(pv)
+    rows = sorted(range(len(ps)), key=lambda i: len(ps[i]))  # the input pair of each live row
+    sizes = [len(ps[i]) for i in rows]
+    pv, qv = np.zeros((2, len(rows), sizes[-1]))
+    for row, (i, n) in enumerate(zip(rows, sizes)):
+        pv[row, :n], qv[row, :n] = ps[i], qs[i]
+    with np.errstate(divide="ignore"):  # ln 0 is -inf in the padding
+        log_q = np.log(qv)
+    g, shifted, weights = np.zeros((3, *pv.shape))
+    peak, total, dots = np.zeros((3, len(rows)))
+
+    def by_size():  # for each run a:b of rows of size n, the views its sums and dots run on
+        starts = [r for r, n in enumerate(sizes) if r == 0 or n != sizes[r - 1]]
+        return [(weights[a:b, :n], total[a:b], pv[a:b, None, :n], g[a:b, :n, None],
+                 dots[a:b, None, None])
+                for a, b, n in zip(starts, starts[1:] + [len(sizes)], (sizes[a] for a in starts))]
+
+    final = [None] * len(rows)
     history = [[] for _ in rows]
-    for _ in range(DV_STEPS):
-        shifted = g + log_q
-        peak = shifted.max(axis=1)
-        weights = np.exp(shifted - peak[:, None])
-        total = weights.sum(axis=1)
-        values = [float(p_row @ g_row - (top + math.log(z)))
-                  for p_row, g_row, top, z in zip(pv, g, peak, total)]
-        g = g + DV_LR * (pv - weights / total[:, None])
+    blocks = by_size()
+    while rows:
+        np.add(g, log_q, out=shifted)
+        np.maximum.reduce(shifted, axis=1, out=peak)
+        np.exp(np.subtract(shifted, peak[:, None], out=weights), out=weights)
+        for block_weights, block_total, block_p, block_g, block_dots in blocks:
+            np.add.reduce(block_weights, axis=1, out=block_total)
+            np.matmul(block_p, block_g, out=block_dots)
+        np.subtract(pv, np.divide(weights, total[:, None], out=weights), out=weights)
+        g += np.multiply(weights, DV_LR, out=weights)
         live = []
-        for i, (value, past) in enumerate(zip(values, history)):
-            past.append(value)
-            if len(past) > 10 and abs(past[-1] - past[-11]) < 1e-12:
-                final[rows[i]] = g[i]
+        for r, (d, top, z, past) in enumerate(zip(dots.tolist(), peak.tolist(), total.tolist(),
+                                                  history)):
+            past.append(d - (top + math.log(z)))
+            if len(past) == DV_STEPS or (len(past) > 10 and abs(past[-1] - past[-11]) < 1e-12):
+                final[rows[r]] = g[r, :sizes[r]].copy()
             else:
-                live.append(i)
+                live.append(r)
         if len(live) < len(rows):
-            if not live:
-                return final
             pv, log_q, g = pv[live], log_q[live], g[live]
-            rows, history = [rows[i] for i in live], [history[i] for i in live]
-    final[rows] = g
+            shifted, weights, peak, total, dots = (
+                a[:len(live)] for a in (shifted, weights, peak, total, dots))
+            rows, sizes, history = ([x[r] for r in live] for x in (rows, sizes, history))
+            blocks = by_size()
     return final
 
 
@@ -904,20 +922,16 @@ def _probe_dv(trials, seed, _corrupt):
     sizes = (2, 4, 8, 16)
     for start in range(0, count, _STACK):
         chunk = range(start, min(start + _STACK, count))
-        by_size, pairs = {}, []
+        pairs = []
         for t, rng in zip(chunk, _trial_rngs(seed, 12, chunk)):
             n = sizes[t % len(sizes)]
             # a light uniform floor keeps the ascent well conditioned without
             # losing full support; convergence speed degrades like 1/min(p)
             p = random_pmf(rng, n, uniform_mix=0.1)
             pairs.append((p, random_pmf(rng, n, labels=p.alphabet, uniform_mix=0.1)))
-            by_size.setdefault(n, []).append(len(pairs) - 1)
-        values = {}  # by row of the chunk: each size's ascents run as one stack
-        for rows in by_size.values():
-            ps, qs = zip(*(pairs[i] for i in rows))
-            values.update(zip(rows, dv_supremum(ps, qs)[1]))
-        for i, (p, q) in enumerate(pairs):
-            supremum.update(abs(values[i] - kl_divergence(p, q)), (p.probs, q.probs))
+        # the chunk's ascents, of every size, run as one stack
+        for (p, q), value in zip(pairs, dv_supremum(*zip(*pairs))[1]):
+            supremum.update(abs(value - kl_divergence(p, q)), (p.probs, q.probs))
     for start in range(0, duality_count, _STACK):
         _track((duality,), *_duality_trials(seed, range(start, min(start + _STACK, duality_count))))
     return count + duality_count, (supremum, duality)

@@ -60,7 +60,8 @@ def test_two_pairs_print_the_report_line(ab, capsys):
     assert re.fullmatch(r"verify --trials 1 --seed 0: head/base median \d+\.\d{3} "
                         r"\(quartiles \d+\.\d{3}-\d+\.\d{3}\), head faster in [0-2]/2 pairs; "
                         r"median s base \d+\.\d{4}, head \d+\.\d{4}", lines[2])
-    assert lines[3].startswith("machine: nproc ")
+    assert lines[3].startswith("per theorem head/base median: T01 ")
+    assert lines[4].startswith("machine: nproc ")
     assert "mitk_a" not in sys.modules and "mitk_b" not in sys.modules
 
 
@@ -136,3 +137,32 @@ def test_each_side_prints_its_source_line_count(ab, capsys, tmp_path):
     # as `wc -l src/mitk/*.py` counts them
     wc = sum(len(path.read_bytes().splitlines()) for path in (REPO / "src" / "mitk").glob("*.py"))
     assert counts == [wc, wc + 3]
+
+
+def test_verify_prints_each_theorems_median_ratio(ab, capsys, tmp_path):
+    # a head whose T12 probe sleeps 50 ms reads T12 far slower, the rest near 1
+    changed = ab.export(str(REPO), tmp_path / "changed")
+    variational = changed / "src" / "mitk" / "variational.py"
+    source = variational.read_text()
+    start = "def _probe_dv(trials, seed, _corrupt):\n"
+    assert source.count(start) == 1
+    variational.write_text(source.replace(start, start + "    time.sleep(0.05)\n"))
+    assert ab.main([str(REPO), str(changed), "--pairs", "2", "--trials", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    prefix = "per theorem head/base median: "
+    assert lines[3].startswith(prefix)
+    ratios = dict(item.split(" ") for item in lines[3][len(prefix):].split(", "))
+    assert list(ratios) == [f"T{i:02d}" for i in range(1, 14)]
+    assert all(re.fullmatch(r"\d+\.\d{3}|-", ratio) for ratio in ratios.values()), ratios
+    assert float(ratios["T12"]) > 3.0, ratios
+    assert lines[4].startswith("machine: nproc ")
+
+
+def test_theorem_ratios_skip_pairs_whose_base_read_zero(ab):
+    stderr = "T01 seconds=0.004\nT12 seconds=0.000\nwarning: not a theorem line\n"
+    assert ab.theorem_seconds(stderr) == {"T01": 0.004, "T12": 0.0}
+    base = [{"T01": 0.004, "T12": 0.0}, {"T01": 0.002, "T12": 0.010}, {"T01": 0.004, "T12": 0.0}]
+    head = [{"T01": 0.002, "T12": 0.001}, {"T01": 0.002, "T12": 0.005}, {"T01": 0.004, "T12": 0.0}]
+    assert ab.theorem_ratios(base, head) == "per theorem head/base median: T01 1.000, T12 0.500"
+    assert ab.theorem_ratios(base[:1], head[:1]) == (
+        "per theorem head/base median: T01 0.500, T12 -")

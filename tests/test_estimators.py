@@ -432,10 +432,29 @@ class TestTraining:
         task = GaussianTask(2, 0.9)
         settings = TrainSettings(steps=400, batch_size=16, seed=0,
                                  hidden=(8,), embed=4, lr=50.0)
-        with pytest.raises(TrainingDiverged) as err:
-            train_estimator("nwj", task, settings)
-        assert err.value.step >= 0
-        assert err.value.config["estimator"] == "nwj"
+        for kind in ("nwj", "tuba"):
+            with pytest.raises(TrainingDiverged) as err:
+                train_estimator(kind, task, settings)
+            assert err.value.step >= 0
+            assert err.value.config["estimator"] == kind
+            # last, what the table held: a column ratio can only overflow past
+            # an off-diagonal score of about 709.8 + log a
+            match = re.fullmatch(r"non-finite objective -inf at step \d+; config=\{.*\}; "
+                                 r"max \|score\| (\S+), e\^\(column log-mean-exp - log a\) "
+                                 r"overflowed in (\d+) of 16 columns", str(err.value))
+            assert match and float(match[1]) > 700.0 and 1 <= int(match[2]) <= 16, str(err.value)
+        # the cause is read off the objective's last table and state
+        small = TrainSettings(batch_size=4, hidden=(8,), embed=4)
+        for kind, cause in (("nwj", "max |score| 900, e^(column log-mean-exp - log a) "
+                                    "overflowed in 1 of 4 columns"),
+                            ("infonce", "max |score| 900")):
+            objective = make_objective(kind, task, small)
+            table = objective.cache[-1]
+            table[...] = 0.0
+            table[0, 2], table[1, 3] = 800.0, -900.0
+            objective.from_scores(table)
+            assert objective.divergence_cause() == cause
+        assert make_objective("ba_upper", task, small).divergence_cause() == ""
 
     def test_parameters_stay_views_of_one_buffer_across_steps(self, monkeypatch):
         task = GaussianTask(2, 0.5)

@@ -318,30 +318,42 @@ class TestDonskerVaradhan:
         with pytest.raises(ValueError):
             dv_supremum(p, Q_AB)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, "mixed"])
     def test_stacked_ascent_keeps_the_bits_of_each_pair(self, n):
-        rng = np.random.default_rng(600 + n)
-        ps = [random_pmf(rng, n, uniform_mix=rng.choice([0.0, 0.1])) for _ in range(9)]
+        rng = np.random.default_rng(600 + (0 if n == "mixed" else n))
+        # the mixed stack holds sizes 2, 3, 4, 5, 8 and 16 twice each, shuffled
+        sizes = rng.permutation([2, 3, 4, 5, 8, 16] * 2).tolist() if n == "mixed" else [n] * 9
+        ps = [random_pmf(rng, size, uniform_mix=rng.choice([0.0, 0.1])) for size in sizes]
         # one identical pair: its value stops moving at once
         ps.append(ps[0])
-        qs = [random_pmf(rng, n, labels=p.alphabet, uniform_mix=rng.choice([0.0, 0.1]))
+        qs = [random_pmf(rng, len(p), labels=p.alphabet, uniform_mix=rng.choice([0.0, 0.1]))
               for p in ps[:-1]] + [ps[0]]
         scores, values = dv_supremum(ps, qs)
-        assert scores.shape == (len(ps), n) and len(values) == len(ps)
-        steps = set()
+        assert len(scores) == len(values) == len(ps)
+        steps = []
         for p, q, row, value in zip(ps, qs, scores, values):
             g, expected, taken = dv_ascent_oracle(p, q)
             assert (row.tobytes(), value.hex()) == (g.tobytes(), expected.hex())
             single = dv_supremum(p, q)
             assert (single[0].tobytes(), single[1].hex()) == (g.tobytes(), expected.hex())
-            steps.add(taken)
-        # rows stop on different steps, and at n >= 8 some run all DV_STEPS
-        assert len(steps) >= 3, steps
-        assert DV_STEPS in steps or n < 8, steps
+            steps.append(taken)
+        # rows stop on different steps, and at n >= 8 (and in the mixed stack)
+        # some run all DV_STEPS
+        assert len(set(steps)) >= 3 and steps[-1] == 11, steps
+        assert DV_STEPS in steps or n in (2, 3, 5), steps
+        if n == "mixed":
+            assert sizes != sorted(sizes)
+            assert sizes[steps.index(DV_STEPS)] != max(sizes), (sizes, steps)
+
+    def test_a_stack_may_mix_alphabet_sizes(self):
+        p3 = random_pmf(np.random.default_rng(1), 3, uniform_mix=0.1)
+        q3 = random_pmf(np.random.default_rng(2), 3, uniform_mix=0.1)
+        scores, values = dv_supremum([p3, P_AB, p3], [q3, Q_AB, p3])
+        for p, q, row, value in zip([p3, P_AB, p3], [q3, Q_AB, p3], scores, values):
+            g, expected = dv_supremum(p, q)
+            assert (row.tobytes(), value.hex()) == (g.tobytes(), expected.hex())
 
     @pytest.mark.parametrize("p, q, match", [
-        ([P_AB, random_pmf(np.random.default_rng(1), 3)],
-         [Q_AB, random_pmf(np.random.default_rng(2), 3)], "one alphabet size"),
         ([P_AB, Pmf(("a", "b"), [1.0, 0.0])], [Q_AB, Q_AB], "full support"),
         ([P_AB, P_AB], [Q_AB, Pmf(("a", "b"), [1.0, 0.0])], "full support"),
         ([P_AB, P_AB], [Q_AB, Pmf(("x", "y"), [0.5, 0.5])], "identical alphabets"),
