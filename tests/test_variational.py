@@ -17,6 +17,7 @@ from mitk.discrete import (
     JointPmf3,
     Pmf,
     _clip_residue,
+    entropy,
     joint_from_factors,
     kl_divergence,
     mi_from_divergence,
@@ -28,6 +29,7 @@ from mitk.discrete import (
 )
 from mitk.variational import (
     _STACK,
+    ALPHA_GRID,
     DV_LR,
     DV_STEPS,
     CheckResult,
@@ -55,10 +57,12 @@ from mitk.variational import (
     _binary_chains,
     _dpi_margins,
     _duality_trials,
-    _frozen_rows,
     _markov_tables,
     _probe_dpi,
     _probe_dv,
+    _probe_entropy_concavity,
+    _probe_kl_convexity,
+    _probe_mi_curvature,
     _track,
     _trial_rngs,
 )
@@ -540,7 +544,34 @@ class TestCurvatureProbes:
             mi_concavity_convexity_probe((px, px), (w_t, w_u))
         joint = JointPmf2(("g0", "g1"), ("t0", "t1"), [[0.15, 0.35], [0.3, 0.2]])
         with pytest.raises(ValueError, match="must share a type and labels"):
-            mitk.variational._mix(w_t, joint, 0.5)
+            mi_concavity_convexity_probe((px, px), (w_t, joint))
+
+    def test_no_alphas_is_vacuous(self):
+        rng = np.random.default_rng(31)
+        pair = (random_pmf(rng, 3), random_pmf(rng, 3))
+        px = random_pmf(rng, 2, labels=("g0", "g1"))
+        w = random_cond(rng, 2, 2)
+        vacuous = (CheckResult("vacuous", 0.0, 0.0, True),)
+        for report in (kl_convexity_probe(pair, pair, alphas=()),
+                       mi_concavity_convexity_probe((px, px), (w, w), alphas=())):
+            assert (report.trials, report.checks, report.passed) == (0, vacuous, True)
+
+    def test_nan_alpha_is_refused(self):
+        rng = np.random.default_rng(37)
+        pair = (random_pmf(rng, 3), random_pmf(rng, 3))
+        px = random_pmf(rng, 2, labels=("g0", "g1"))
+        w = random_cond(rng, 2, 2)
+        with pytest.raises(ValueError, match=r"alphas must lie in \[0, 1\]"):
+            kl_convexity_probe(pair, pair, alphas=(0.5, math.nan))
+        with pytest.raises(ValueError, match=r"alphas must lie in \[0, 1\]"):
+            mi_concavity_convexity_probe((px, px), (w, w), alphas=(math.nan,))
+
+    def test_input_law_must_live_on_the_given_alphabet(self):
+        rng = np.random.default_rng(41)
+        px = random_pmf(rng, 2, labels=("a", "b"))
+        w = random_cond(rng, 2, 2)  # given alphabet ("g0", "g1")
+        with pytest.raises(ValueError):
+            mi_concavity_convexity_probe((px, px), (w, w))
 
 
 class TestJensen:
@@ -675,17 +706,6 @@ class TestDerivedTables:
         table = px.probs[:, None, None] * pyx.probs[:, :, None] * pzy.probs[None, :, :]
         alphabets = (px.alphabet, pyx.target_alphabet, pzy.target_alphabet)
         _assert_same_table(markov_joint(spec), JointPmf3(alphabets, table))
-
-    def test_mixtures(self):
-        rng = np.random.default_rng(53)
-        p1, p2 = random_pmf(rng, 4), random_pmf(rng, 4)
-        labels = (("g0", "g1"), ("t0", "t1", "t2"))
-        c1, c2 = random_cond(rng, 2, 3, labels=labels), random_cond(rng, 2, 3, labels=labels)
-        for alpha in (0.0, 0.3, 1.0):
-            built = Pmf(p1.alphabet, alpha * p1.probs + (1.0 - alpha) * p2.probs)
-            _assert_same_table(mitk.variational._mix(p1, p2, alpha), built)
-            built = CondPmf(*labels, alpha * c1.probs + (1.0 - alpha) * c2.probs)
-            _assert_same_table(mitk.variational._mix(c1, c2, alpha), built)
 
     def test_tables_passed_to_the_divergence(self, monkeypatch):
         # mi_from_divergence's two flat tables and golden_decomposition's penalty
@@ -844,6 +864,65 @@ def dpi_trial(seed, t):
     return margins, (spec.px.probs, spec.py_given_x.probs, spec.pz_given_y.probs)
 
 
+def _chord_margins(value, ends, alphas, witness, concave=False):
+    """[(margin, witness)] along one chord, each mixture built as a public table
+    and valued alone, as the curvature probes ran before their chords took stacks."""
+    v1, v2 = value(*ends[0]), value(*ends[1])
+    out = []
+    for alpha in alphas:
+        mixed = [type(t1)(*[getattr(t1, f.name) for f in fields(t1)][:-1],
+                          alpha * t1.probs + (1.0 - alpha) * t2.probs)
+                 for t1, t2 in zip(*ends)]
+        lhs, rhs = value(*mixed), alpha * v1 + (1.0 - alpha) * v2
+        out.append((rhs - lhs if concave else lhs - rhs, {"alpha": alpha, **witness}))
+    return out
+
+
+def kl_convexity_trial(seed, t):
+    """T04's chord margins for case t, one list per check."""
+    rng = np.random.default_rng([seed, 4, t])
+    n = int(rng.integers(2, 7))
+    p1, q1, p2, q2 = (random_pmf(rng, n) for _ in range(4))
+    alphas = ALPHA_GRID + tuple(rng.uniform(size=20))
+    return [_chord_margins(kl_divergence, ((p1, q1), (p2, q2)), alphas,
+                           {"p1": p1.probs, "p2": p2.probs, "q1": q1.probs, "q2": q2.probs})]
+
+
+def entropy_concavity_trial(seed, t):
+    """T05's chord margins for case t, one list per check."""
+    rng = np.random.default_rng([seed, 5, t])
+    n = int(rng.integers(2, 7))
+    p1 = random_pmf(rng, n)
+    p2 = random_pmf(rng, n, labels=p1.alphabet)
+    alphas = ALPHA_GRID + tuple(rng.uniform(size=20))
+    return [_chord_margins(entropy, ((p1,), (p2,)), alphas, {"p1": p1.probs, "p2": p2.probs},
+                           concave=True)]
+
+
+def mi_curvature_trial(seed, t):
+    """T06's chord margins for case t, one list per check."""
+    rng = np.random.default_rng([seed, 6, t])
+    nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    labels = tuple(f"g{i}" for i in range(nx))
+    px1, px2 = (random_pmf(rng, nx, labels=labels) for _ in range(2))
+    w1, w2 = (random_cond(rng, nx, ny) for _ in range(2))
+    alphas = ALPHA_GRID + tuple(rng.uniform(size=20))
+    return [_chord_margins(lambda px: mutual_information(joint_from_factors(px, w1)),
+                           ((px1,), (px2,)), alphas,
+                           {"px1": px1.probs, "px2": px2.probs, "channel": w1.probs},
+                           concave=True),
+            _chord_margins(lambda w: mutual_information(joint_from_factors(px1, w)),
+                           ((w1,), (w2,)), alphas,
+                           {"px": px1.probs, "w1": w1.probs, "w2": w2.probs})]
+
+
+def _same_chord_witness(got, expected):
+    assert list(got) == list(expected)
+    assert type(got["alpha"]) is type(expected["alpha"])
+    assert float(got["alpha"]).hex() == float(expected["alpha"]).hex()
+    _same_witness([got[k] for k in list(got)[1:]], [expected[k] for k in list(expected)[1:]])
+
+
 def duality_trial(seed, t):
     """T12's weak-duality margin and witness for trial t, one table at a time,
     the log-partition by scipy (which the DV kernel matches bit for bit)."""
@@ -869,18 +948,51 @@ def _same_witness(got, expected):
 
 
 class TestStackedProbes:
-    """T09's binary chains and T12's duality trials run as stacks; each trial
-    keeps the bits of the per-table path, which stays here as the oracle."""
+    """T09's binary chains, T12's duality trials and the chords of T04, T05 and
+    T06 run as stacks; each trial keeps the bits of the per-table path, which
+    stays here as the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("probe, trial", [(_probe_kl_convexity, kl_convexity_trial),
+                                              (_probe_entropy_concavity, entropy_concavity_trial),
+                                              (_probe_mi_curvature, mi_curvature_trial)])
+    def test_chords_match_the_per_table_path(self, monkeypatch, seed, probe, trial):
+        class Recording(_Worst):
+            """A tracker that also keeps every margin and witness it is fed."""
+
+            def __init__(self, name, tolerance):
+                super().__init__(name, tolerance)
+                self.seen = []
+
+            def update(self, value, witness):
+                self.seen.append((value, witness))
+                super().update(value, witness)
+
+        monkeypatch.setattr(mitk.variational, "_Worst", Recording)
+        trials_run, stacked = probe(TRIALS, seed, False)
+        cases = [trial(seed, t) for t in range(TRIALS // 10)]
+        assert trials_run == 31 * len(cases)
+        assert len(stacked) == len(cases[0])
+        for check, got in enumerate(stacked):
+            expected = [seen for case in cases for seen in case[check]]
+            assert [v.hex() for v, _ in got.seen] == [v.hex() for v, _ in expected]
+            for (_, got_witness), (_, expected_witness) in zip(got.seen, expected):
+                _same_chord_witness(got_witness, expected_witness)
+            tracker = _Worst("", 0.0)
+            for value, witness in expected:
+                tracker.update(value, witness)
+            assert got.value.hex() == tracker.value.hex()
+            _same_chord_witness(got.witness, tracker.witness)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_binary_chains_match_the_per_table_path(self, seed):
         oracle = [dpi_trial(seed, t) for t in range(10 * TRIALS + TRIALS)]
         for start in range(0, 10 * TRIALS, _STACK):
             trials = range(start, min(start + _STACK, 10 * TRIALS))
-            margins, factors = _binary_chains(seed, trials)
+            margins, witness = _binary_chains(seed, trials)
             for row, t in enumerate(trials):
                 assert [m[row].hex() for m in margins] == [m.hex() for m in oracle[t][0]]
-                _same_witness(_frozen_rows(factors, row), oracle[t][1])
+                _same_witness(witness(row), oracle[t][1])
         trackers = [_Worst("", 0.0) for _ in range(3)]
         for margins, witness in oracle:
             for tracker, margin in zip(trackers, margins):
@@ -909,8 +1021,8 @@ class TestStackedProbes:
         _same_witness(duality.witness, tracker.witness)
 
     def test_first_nan_row_stays_the_worst(self):
-        margins, factors = _binary_chains(0, range(20))
-        joints = _markov_tables(*factors)
+        _, witness = _binary_chains(0, range(20))
+        joints = _markov_tables(*(np.stack(rows) for rows in zip(*map(witness, range(20)))))
         joints[[7, 12]] = math.nan
         margins = _dpi_margins(joints)
         assert all(math.isnan(m[7]) and math.isnan(m[12]) for m in margins)
